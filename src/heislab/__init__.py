@@ -3,8 +3,8 @@
 Finite-dimensional Heisenberg-type groups built from a symplectic pairing;
 their reduced (vertical-periodic) quotients; left-invariant calculus for
 cylinder functions; hypoelliptic Brownian endpoints with deterministic
-counter-based sampling; log-Sobolev functionals; and a constrained-path
-solver for the horizontal distance.
+counter-based sampling; log-Sobolev functionals; and the closed-form
+optimal polygon for the horizontal distance.
 """
 
 __version__ = "0.1.0"
@@ -86,7 +86,6 @@ from .distance import (
     HorizontalPath,
     LiftedPath,
     lift,
-    OptimizerOptions,
     DistanceResult,
     ReducedDistanceResult,
     cc_distance,
@@ -131,7 +130,7 @@ __all__ = [
     "ScanResult", "lsi_scan", "QuotientInvarianceReport",
     "quotient_invariance_report", "DEFAULT_C_REF",
     # distance
-    "HorizontalPath", "LiftedPath", "lift", "OptimizerOptions",
+    "HorizontalPath", "LiftedPath", "lift",
     "DistanceResult", "ReducedDistanceResult", "cc_distance",
     "cc_distance_reduced", "distance_between", "vertical_distance_reference",
     "fiber_lower_bound",

@@ -1,18 +1,31 @@
-"""Carnot-Caratheodory distance by direct transcription.
+"""Carnot-Caratheodory distance by the optimal polygon, in closed form.
 
 A horizontal path is a polygon in the horizontal space starting at the
 origin; its lift gains vertical coordinate 0.5 * omega(sigma_{k-1},
 delta sigma_k) per segment, which is exact for piecewise-linear paths.
-The distance to (w, c) is the infimum of polygon length over paths whose
-endpoint is w and whose accumulated area is c.  That is solved as an
-equality-constrained minimization over the interior nodes with an
-augmented-Lagrangian outer loop and L-BFGS-B inner solves, warm-started
-through a coarse-to-fine node hierarchy.  Midpoint subdivision preserves
-both length and area exactly, so refinement never worsens the incumbent.
+The K-segment estimate of the distance to (w, c) is the least length of a
+K-gon whose endpoint is w and whose accumulated area is c.
 
-Everything here is deterministic: the multistart initial guesses (straight
-chord plus area-carrying circular detours in symplectically conjugate
-planes) are constructed, not sampled.
+That polygon is built directly, the discrete analogue of the geodesics of
+Gaveau (1977) and Beals-Gaveau-Greiner (J. Math. Pures Appl. 2000).  At a
+stationary polygon every segment has the same length and consecutive
+segments satisfy delta_{k+1} = (I - beta Omega)^{-1} (I + beta Omega)
+delta_k.  In the normal form Q^T Omega Q = (+)_j a_j [[0, 1], [-1, 0]],
+with block j read as a complex number z_j = |z_j| e^{i arg z_j}, each
+step turns block j by psi_j = 2 arctan(beta a_j), and the segments that
+sum to z_j start at
+
+    delta_{1,j} = z_j e^{-i (K-1) psi_j / 2} sin(psi_j / 2) / sin(K psi_j / 2).
+
+Their swept area is a_j |delta_{1,j}|^2 (K sin psi_j - sin K psi_j) /
+(8 sin^2(psi_j / 2)), and the total increases with beta until the top-weight
+blocks close up at K psi = 2 pi.  The one root find solves area = |c| in
+eps = pi - K psi_top / 2, which keeps the closing sine sin(eps) exact for
+top blocks that barely move; the sign of c sets the turning direction.
+When no top-weight block moves and even the closed-up turn falls short, a
+regular K-gon carries the rest of the area in one top block.  Vertical
+targets thus cost exactly (1 + g_K) 2 sqrt(pi |c| / sigma_max), g_K the
+regular K-gon's isoperimetric gap, and c = 0 gives the straight chord.
 """
 
 from __future__ import annotations
@@ -22,16 +35,25 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import schur
+
+# `minimize` is not called here.  The name stays bound because the traced
+# benchmark run (perfbench/worker.py) wraps heislab.distance.minimize to count
+# optimizer calls, and perfbench/run.py reads the scipy.optimize import time
+# out of `import heislab.cli`.
+from scipy.optimize import brentq, minimize  # noqa: F401
 
 from .group import GroupElement, ReducedElement, TWO_PI, inverse, multiply
-from .model import SymplecticForm
+from .model import SymplecticForm, _block_diag_form
+
+# A returned path is converged when it meets c to this share of 1 + |c|.
+C_TOL_REL = 1e-6
 
 __all__ = [
+    "C_TOL_REL",
     "HorizontalPath",
     "LiftedPath",
     "lift",
-    "OptimizerOptions",
     "DistanceResult",
     "ReducedDistanceResult",
     "cc_distance",
@@ -97,10 +119,6 @@ class LiftedPath:
         return GroupElement(self.nodes[-1].copy(), float(self.vertical[-1]))
 
 
-def _polygon_area(omega: np.ndarray, nodes: np.ndarray) -> float:
-    return 0.5 * float(np.einsum("kd,kd->", nodes[:-1] @ omega, nodes[1:]))
-
-
 def lift(form: SymplecticForm, path: HorizontalPath) -> LiftedPath:
     """Horizontal lift through the group identity (exact for polygons)."""
     nodes = path.nodes
@@ -109,23 +127,6 @@ def lift(form: SymplecticForm, path: HorizontalPath) -> LiftedPath:
     incr = 0.5 * np.einsum("kd,kd->k", nodes[:-1] @ form.omega, nodes[1:])
     vertical = np.concatenate([[0.0], np.cumsum(incr)])
     return LiftedPath(nodes=nodes, vertical=vertical)
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Budgets for the transcription solver; all defaults are deterministic."""
-
-    coarse_segments: int = 16
-    inner_maxiter_coarse: int = 120
-    inner_maxiter: int = 250
-    al_rounds: int = 10
-    rho0: float = 1.0
-    penalty_growth: float = 10.0
-    c_tol_rel: float = 1e-6
-    eps_smooth: float = 1e-12
-    bulge_scales: Tuple[float, ...] = (1.0, 0.5)
-    gtol: float = 1e-9
-    ftol: float = 1e-13
 
 
 @dataclass(frozen=True)
@@ -152,98 +153,98 @@ class ReducedDistanceResult:
         return iter((self.estimate, self.winning_k))
 
 
-def _al_solve(omega, w_target, c_target, nodes0, opt, maxiter, mu0=0.0):
-    """One augmented-Lagrangian run from a given node polygon.
+def _normal_form(omega: np.ndarray):
+    """Orthogonal Q and weights a > 0 with Q^T Omega Q = (+)_j a_j [[0, 1], [-1, 0]].
 
-    Returns (nodes, residual, converged, mu).  The inner problem minimizes
-    smoothed length + mu*r + 0.5*rho*r^2 over the interior nodes, where
-    r = area(nodes) - c_target; the multiplier and penalty follow the
-    standard update (grow rho tenfold when |r| fails to shrink by 4x).
+    Forms built by the model already are in normal form (Q = I, so nothing
+    is rounded); any other skew form goes through the real Schur
+    decomposition, whose 2x2 blocks are oriented by swapping columns.
     """
-    nodes0 = np.array(nodes0, dtype=float)
-    segs, dim = nodes0.shape[0] - 1, nodes0.shape[1]
-    first, last = nodes0[0].copy(), nodes0[-1].copy()
-    eps = opt.eps_smooth
-    tol = opt.c_tol_rel * (1.0 + abs(c_target))
-
-    def assemble(x):
-        nodes = np.empty((segs + 1, dim))
-        nodes[0], nodes[-1] = first, last
-        nodes[1:-1] = x.reshape(segs - 1, dim)
-        return nodes
-
-    mu, rho = mu0, opt.rho0
-    x = nodes0[1:-1].ravel()
-    r_prev = None
-    converged = False
-    for _ in range(opt.al_rounds):
-
-        def objective(xv, mu=mu, rho=rho):
-            nodes = assemble(xv)
-            deltas = np.diff(nodes, axis=0)
-            s = np.sqrt(np.einsum("kd,kd->k", deltas, deltas) + eps)
-            r = _polygon_area(omega, nodes) - c_target
-            val = float(np.sum(s)) + mu * r + 0.5 * rho * r * r
-            unit = deltas / s[:, None]
-            grad = unit[:-1] - unit[1:]
-            grad = grad + (mu + rho * r) * (0.5 * (nodes[2:] - nodes[:-2]) @ omega.T)
-            return val, grad.ravel()
-
-        res = minimize(
-            objective,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": maxiter, "ftol": opt.ftol, "gtol": opt.gtol},
-        )
-        x = res.x
-        r = _polygon_area(omega, assemble(x)) - c_target
-        if abs(r) <= tol:
-            converged = True
-            break
-        mu += rho * r
-        if r_prev is not None and abs(r) > 0.25 * abs(r_prev):
-            rho *= opt.penalty_growth
-        r_prev = r
-    return assemble(x), r, converged, mu
+    a = np.diagonal(omega[0::2, 1::2]).copy()
+    if np.all(a > 0.0) and np.array_equal(omega, _block_diag_form(a)):
+        return np.eye(omega.shape[0]), a
+    T, Q = schur(omega, output="real")
+    a = 0.5 * (np.diagonal(T, 1)[0::2] - np.diagonal(T, -1)[0::2])
+    for j in np.flatnonzero(a < 0.0):
+        Q[:, [2 * j, 2 * j + 1]] = Q[:, [2 * j + 1, 2 * j]]
+    return Q, np.abs(a)
 
 
-def _straight_nodes(w_target, segments):
-    frac = np.linspace(0.0, 1.0, segments + 1)
-    return frac[:, None] * w_target[None, :]
+def _optimal_segments(a: np.ndarray, z: np.ndarray, K: int, c: float) -> np.ndarray:
+    """The K segments, one complex number per block, of the optimal polygon
+    from 0 to the chords z with swept area c != 0, in normal form."""
+    a_max = float(a.max())
+    top = a == a_max
+    r = np.abs(z)
+    moves = r * r > 0.0  # a chord whose square underflows is left to the endpoint pin
+    m = np.arange(1, K)
+    lever = 0.5 * (K - m)  # area of unit segments turning by m psi
+
+    def shape(eps):
+        """Turning angles and segment lengths r sin(psi/2) / sin(K psi/2)."""
+        theta = math.pi - eps
+        psi = np.where(top, 2.0 * theta / K, 2.0 * np.arctan(math.tan(theta / K) * a / a_max))
+        closing = np.where(top, math.sin(eps), np.sin(0.5 * K * psi))
+        amp = np.divide(r, closing, out=np.zeros_like(r), where=moves) * np.sin(0.5 * psi)
+        return psi, amp
+
+    def area(eps):
+        if eps >= math.pi:
+            return 0.0
+        psi, amp = shape(eps)
+        return float(amp**2 @ (a * (np.sin(np.outer(psi, m)) @ lever)))
+
+    target = abs(c)
+    extra = 0.0  # area of the regular K-gon added to the first top block
+    if not np.any(moves & top) and area(0.0) <= target:
+        eps = 0.0
+        extra = target - area(0.0)
+    else:
+        # the area grows without bound as eps -> 0 when a top block moves,
+        # and otherwise tends to area(0.0) > target, so the halving ends
+        lo, hi = 0.5 * math.pi, math.pi
+        while area(lo) < target:
+            lo, hi = 0.5 * lo, lo
+        # below the least representable turn, pi - eps rounds to a straight line
+        eps = min(brentq(lambda e: area(e) - target, lo, hi, xtol=math.ulp(lo)),
+                  math.nextafter(math.pi, 0.0))
+
+    psi, amp = shape(eps)
+    turn = math.copysign(1.0, c) * psi
+    first = amp * np.exp(1j * (np.angle(z) - 0.5 * (K - 1) * turn))
+    if extra > 0.0 and K > 2:  # a closed 2-gon sweeps no area
+        j = int(np.flatnonzero(top)[0])
+        first[j] = math.sqrt(extra * 4.0 * math.tan(math.pi / K) / (K * a_max))
+    return first[None, :] * np.exp(1j * np.arange(K)[:, None] * turn[None, :])
 
 
-def _conjugate_planes(omega):
-    """Two (u, v) coordinate planes with extreme area efficiency |omega(u,v)|."""
-    col_norms = np.linalg.norm(omega, axis=0)
-    picks = []
-    for i in (int(np.argmax(col_norms)), int(np.argmin(col_norms))):
-        if i in picks:
-            continue
-        picks.append(i)
-    planes = []
-    for i in picks:
-        u = np.zeros(omega.shape[0])
-        u[i] = 1.0
-        v = omega @ u
-        norm = np.linalg.norm(v)
-        v = v / norm
-        pairing = float(u @ omega @ v)
-        planes.append((u, v, pairing))
-    return planes
+def cc_distance(form: SymplecticForm, target: GroupElement, K: int = 64) -> DistanceResult:
+    """Distance from the identity to target, with the realizing polygon.
 
+    Unpacks as (estimate, path); the full result also carries the area
+    residual of the returned path, from its lift, and a convergence flag.
+    """
+    if K < 2:
+        raise ValueError("K must be >= 2")
+    w = np.asarray(target.w, dtype=float)
+    if w.shape != (form.dim,):
+        raise ValueError("target dimension does not match the form")
+    c = float(target.c)
 
-def _circle_nodes(omega, w_target, c_target, segments, u, v, pairing, scale):
-    """Straight chord plus a full circular detour carrying area ~ c_target."""
-    radius = scale * math.sqrt(abs(c_target) / (math.pi * abs(pairing)))
-    orient = 1.0 if c_target * pairing > 0 else -1.0
-    phi = np.linspace(0.0, 2.0 * math.pi, segments + 1)
-    detour = radius * (
-        np.sin(phi)[:, None] * u[None, :] + orient * (1.0 - np.cos(phi))[:, None] * v[None, :]
-    )
-    detour[0] = 0.0
-    detour[-1] = 0.0
-    return _straight_nodes(w_target, segments) + detour
+    if c == 0.0:
+        nodes = np.linspace(0.0, 1.0, K + 1)[:, None] * w[None, :]
+    else:
+        Q, a = _normal_form(form.omega)
+        u = Q.T @ w
+        segs = _optimal_segments(a, u[0::2] + 1j * u[1::2], K, c)
+        normal = np.zeros((K + 1, form.dim))
+        normal[1:, 0::2] = np.cumsum(segs.real, axis=0)
+        normal[1:, 1::2] = np.cumsum(segs.imag, axis=0)
+        nodes = normal @ Q.T
+        nodes[-1] = w
+    path = HorizontalPath(nodes)
+    residual = float(lift(form, path).vertical[-1]) - c
+    return DistanceResult(path.length(), path, residual, abs(residual) <= C_TOL_REL * (1.0 + abs(c)))
 
 
 def _better(len_a, res_a, len_b, res_b, tol):
@@ -254,90 +255,6 @@ def _better(len_a, res_a, len_b, res_b, tol):
     if feas_a:
         return len_a < len_b
     return abs(res_a) < abs(res_b) or (res_a == res_b and len_a < len_b)
-
-
-def _levels(segments, coarse):
-    out = []
-    k = min(coarse, segments)
-    while k < segments:
-        out.append(k)
-        k *= 2
-    out.append(segments)
-    return out
-
-
-def _true_length(nodes):
-    deltas = np.diff(nodes, axis=0)
-    return float(np.sum(np.sqrt(np.einsum("kd,kd->k", deltas, deltas))))
-
-
-def _upsample(nodes, segments):
-    path = HorizontalPath(nodes - nodes[0])
-    while path.segments * 2 <= segments:
-        path = path.subdivide()
-    if path.segments != segments:
-        path = path.resample(segments)
-    return path.nodes + nodes[0]
-
-
-def cc_distance(
-    form: SymplecticForm,
-    target: GroupElement,
-    K: int = 64,
-    opt: Optional[OptimizerOptions] = None,
-) -> DistanceResult:
-    """Distance from the identity to target, with the realizing polygon.
-
-    Unpacks as (estimate, path); the full result also carries the area
-    residual of the returned path and a convergence flag.
-    """
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    opt = opt or OptimizerOptions()
-    w = np.asarray(target.w, dtype=float)
-    if w.shape != (form.dim,):
-        raise ValueError("target dimension does not match the form")
-    c_target = float(target.c)
-    omega = form.omega
-
-    if np.all(w == 0.0) and c_target == 0.0:
-        path = HorizontalPath(np.zeros((K + 1, form.dim)))
-        return DistanceResult(0.0, path, 0.0, True)
-
-    tol = opt.c_tol_rel * (1.0 + abs(c_target))
-    levels = _levels(K, opt.coarse_segments)
-    k0 = levels[0]
-
-    starts = [_straight_nodes(w, k0)]
-    if abs(c_target) > 1e-14 * (1.0 + float(np.linalg.norm(w)) ** 2):
-        for u, v, pairing in _conjugate_planes(omega):
-            for scale in opt.bulge_scales:
-                starts.append(_circle_nodes(omega, w, c_target, k0, u, v, pairing, scale))
-
-    best = None  # (nodes, residual, mu)
-    for nodes0 in starts:
-        nodes, r, _, mu = _al_solve(omega, w, c_target, nodes0, opt, opt.inner_maxiter_coarse)
-        if best is None or _better(_true_length(nodes), r, _true_length(best[0]), best[1], tol):
-            best = (nodes, r, mu)
-
-    nodes, r, mu = best
-    for segs in levels[1:]:
-        up = _upsample(nodes, segs)
-        up_len, up_r = _true_length(up), r
-        cand, cand_r, _, cand_mu = _al_solve(omega, w, c_target, up, opt, opt.inner_maxiter, mu0=mu)
-        if _better(_true_length(cand), cand_r, up_len, up_r, tol):
-            nodes, r, mu = cand, cand_r, cand_mu
-        else:
-            nodes = up
-
-    # Final polish at full resolution if the constraint is not yet met.
-    if abs(r) > tol:
-        cand, cand_r, _, _ = _al_solve(omega, w, c_target, nodes, opt, opt.inner_maxiter, mu0=mu)
-        if _better(_true_length(cand), cand_r, _true_length(nodes), r, tol):
-            nodes, r = cand, cand_r
-
-    path = HorizontalPath(nodes)
-    return DistanceResult(_true_length(nodes), path, float(r), bool(abs(r) <= tol))
 
 
 def fiber_lower_bound(form: SymplecticForm, w_norm: float, c: float) -> float:
@@ -358,18 +275,16 @@ def cc_distance_reduced(
     target: ReducedElement,
     K: int = 64,
     k_window: int = 3,
-    opt: Optional[OptimizerOptions] = None,
 ) -> ReducedDistanceResult:
     """Distance on the reduced group: minimum over fiber representatives.
 
     Each winding offset k in [-k_window, k_window] names the full-group
     target (w, theta + 2 pi k); candidates are solved in order of their
     lower bound and skipped once the bound cannot beat the incumbent, so
-    typically only one to three transcription solves run.
+    typically only one to three solves run.
     """
     if k_window < 0:
         raise ValueError("k_window must be >= 0")
-    opt = opt or OptimizerOptions()
     w = np.asarray(target.w, dtype=float)
     w_norm = float(np.linalg.norm(w))
 
@@ -386,14 +301,14 @@ def cc_distance_reduced(
         if best is not None and bound >= best.estimate:
             evaluated.append((k, None))
             continue
-        res = cc_distance(form, GroupElement(w, c_k), K=K, opt=opt)
+        res = cc_distance(form, GroupElement(w, c_k), K=K)
         evaluated.append((k, res.estimate))
         if best is None or _better(
             res.estimate,
             res.c_residual,
             best.estimate,
             best.c_residual,
-            opt.c_tol_rel * (1.0 + abs(c_k)),
+            C_TOL_REL * (1.0 + abs(c_k)),
         ):
             best, best_k = res, k
 
@@ -413,10 +328,9 @@ def distance_between(
     g1: GroupElement,
     g2: GroupElement,
     K: int = 64,
-    opt: Optional[OptimizerOptions] = None,
 ) -> DistanceResult:
     """Left-invariant distance d(g1, g2) = d(e, g1^{-1} g2)."""
-    return cc_distance(form, multiply(form, inverse(form, g1), g2), K=K, opt=opt)
+    return cc_distance(form, multiply(form, inverse(form, g1), g2), K=K)
 
 
 def vertical_distance_reference(form: SymplecticForm, c: float) -> float:

@@ -48,8 +48,16 @@ def wrap_angle(c):
 
     Exact floating remainder (fmod) followed by a single correction.  The
     correction can round back up to exactly 2*pi for tiny negative inputs,
-    so that endpoint is folded to 0.  Works elementwise on arrays.
+    so that endpoint is folded to 0.  Works elementwise on arrays; finite
+    Python numbers take the same steps in ``math`` and give the same bits.
     """
+    if isinstance(c, (float, int)) and -math.inf < c < math.inf:
+        r = math.fmod(c, TWO_PI)
+        if r < 0.0:
+            r += TWO_PI
+            if r >= TWO_PI:
+                r -= TWO_PI
+        return r
     r = np.fmod(c, TWO_PI)
     r = np.where(r < 0.0, r + TWO_PI, r)
     r = np.where(r >= TWO_PI, r - TWO_PI, r)

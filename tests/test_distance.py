@@ -1,15 +1,16 @@
-"""Horizontal paths, exact lifts, and the constrained length minimizer."""
+"""Horizontal paths, exact lifts, and the closed-form optimal polygon."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize
 
 from heislab import (
     GroupElement,
     HorizontalPath,
-    OptimizerOptions,
     ReducedElement,
+    SymplecticForm,
     cc_distance,
     cc_distance_reduced,
     distance_between,
@@ -17,10 +18,12 @@ from heislab import (
     identity,
     lift,
     make_isotropic_form,
+    make_nonisotropic_form,
     multiply,
     vertical_distance_reference,
     wrap_angle,
 )
+from heislab.distance import C_TOL_REL
 
 SQUARE_LOOP = np.array(
     [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
@@ -223,23 +226,182 @@ class TestBetweenPoints:
         assert abs(d12 - dh) <= 2e-3 * (1.0 + d12)
 
 
-class TestOptions:
-    def test_contract_defaults(self):
-        opt = OptimizerOptions()
-        assert opt.coarse_segments == 16
-        assert opt.c_tol_rel == 1e-6
-        assert opt.bulge_scales == (1.0, 0.5)
+def polygon_gap(K):
+    """Relative excess sqrt((K / pi) tan(pi / K)) - 1 of the regular K-gon
+    over the circle of the same area."""
+    return math.sqrt(K / math.pi * math.tan(math.pi / K)) - 1.0
 
-    def test_custom_budget_still_converges(self, iso1):
-        opt = OptimizerOptions(coarse_segments=8, al_rounds=8)
-        res = cc_distance(iso1, GroupElement([0.0, 0.0], 0.5), K=16, opt=opt)
-        assert res.converged
-        ref = vertical_distance_reference(iso1, 0.5)
-        assert res.estimate <= 1.02 * ref
 
-    def test_starved_budget_reports_honestly(self, iso1):
-        opt = OptimizerOptions(coarse_segments=8, al_rounds=6)
-        res = cc_distance(iso1, GroupElement([0.0, 0.0], 0.5), K=16, opt=opt)
-        # too few multiplier rounds: the flag must say so
-        assert not res.converged
-        assert abs(res.c_residual) > 1e-6 * 1.5
+def gaveau_distance(weights, w, c):
+    """Continuum distance from the identity to (w, c) on the block form.
+
+    A normal geodesic with vertical covector mu runs, in block j, along a
+    circular arc over the chord w_j that turns by a_j mu; it sweeps area
+    a_j |w_j|^2 (t - sin t) / (8 sin^2(t/2)) and has length |w_j| (t/2) /
+    sin(t/2), t = a_j mu.  The swept area increases on 0 <= mu < 2 pi /
+    a_max.  When the top-weight blocks stay still and that is not enough, a
+    full circle in a top block carries the rest.
+    """
+    a = np.asarray(weights, dtype=float)
+    w = np.asarray(w, dtype=float)
+    r2 = w[0::2] ** 2 + w[1::2] ** 2
+    if c == 0.0:
+        return math.sqrt(float(r2.sum()))
+    a_max = float(a.max())
+    live = r2 > 0.0
+
+    def area(mu):
+        t = a[live] * mu
+        seg = np.where(t < 1e-4, t / 12.0, (t - np.sin(t)) / (8.0 * np.sin(0.5 * np.maximum(t, 1e-4)) ** 2))
+        return float(np.sum(a[live] * r2[live] * seg))
+
+    def length_sq(mu):
+        t = a[live] * mu
+        arc = np.where(t < 1e-4, 1.0, 0.5 * t / np.sin(0.5 * np.maximum(t, 1e-4)))
+        return float(np.sum(r2[live] * arc**2))
+
+    mu_end = 2.0 * math.pi / a_max
+    if not np.any(live & (a == a_max)) and area(mu_end) <= abs(c):
+        return math.sqrt(length_sq(mu_end) + 4.0 * math.pi * (abs(c) - area(mu_end)) / a_max)
+    k = 1
+    while area(mu_end * (1.0 - 0.5**k)) < abs(c):
+        k += 1
+    mu = brentq(lambda m: area(m) - abs(c), 0.0, mu_end * (1.0 - 0.5**k), xtol=1e-15)
+    return math.sqrt(length_sq(mu))
+
+
+def brute_force_distance(form, w, c, K, starts=6, seed=0):
+    """Shortest K-gon found by SLSQP over the interior nodes from random starts."""
+    rng = np.random.default_rng(seed)
+    dim = form.dim
+
+    def nodes(x):
+        return np.vstack([np.zeros(dim), x.reshape(K - 1, dim), w])
+
+    def length(x):
+        return float(np.sum(np.linalg.norm(np.diff(nodes(x), axis=0), axis=1)))
+
+    def area_gap(x):
+        n = nodes(x)
+        return 0.5 * np.einsum("kd,kd->", n[:-1] @ form.omega, n[1:]) - c
+
+    scale = 1.0 + np.linalg.norm(w) + math.sqrt(abs(c))
+    best = math.inf
+    for _ in range(starts):
+        res = minimize(
+            length,
+            rng.standard_normal((K - 1) * dim) * scale,
+            method="SLSQP",
+            constraints=[{"type": "eq", "fun": area_gap}],
+            options={"ftol": 1e-14, "maxiter": 1000},
+        )
+        if res.success and abs(area_gap(res.x)) < 1e-9:
+            best = min(best, length(res.x))
+    return best
+
+
+WEIGHTINGS = ((1.0,), (1.0, 2.5), (0.5, 1.0, 2.0), (1.0, 1.0), (2.0, 1.0, 2.0))
+
+# Targets the earlier numerical polygon search landed far above (weights, w, c).
+HARD_TARGETS = (
+    ((0.5, 1.0, 2.0), (0.0,) * 6, 0.5),
+    ((1.0,), (0.0, 0.0), 0.5),
+    ((1.0,), (0.0, 0.0), -0.5),
+    ((1.0,), (0.0, 0.0), 1.0),
+    ((1.0,), (0.0, 0.0), -1.0),
+    ((1.0,), (0.0, 0.0), 2.2),
+    ((1.0,), (-0.575, -0.106), 0.606),
+)
+
+
+def random_targets(seed, count):
+    """(weights, w, c) over every weighting; some targets leave the
+    top-weight blocks or the whole horizontal part at zero."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for ws in WEIGHTINGS:
+        for i in range(count):
+            w = rng.standard_normal(2 * len(ws)) * rng.uniform(0.1, 2.0)
+            if i % 4 == 1:
+                for j in np.flatnonzero(np.asarray(ws) == max(ws)):
+                    w[2 * j: 2 * j + 2] = 0.0
+            if i % 4 == 2:
+                w[:] = 0.0
+            out.append((ws, w, float(rng.standard_normal() * 3.0)))
+    return out
+
+
+class TestClosedFormPolygon:
+    @pytest.mark.parametrize("K", [8, 64])
+    def test_estimate_within_polygon_gap_of_exact(self, K):
+        for ws, w, c in HARD_TARGETS + tuple(random_targets(54, 8)):
+            res = cc_distance(make_nonisotropic_form(ws), GroupElement(w, c), K=K)
+            exact = gaveau_distance(ws, w, c)
+            assert exact * (1.0 - 1e-12) <= res.estimate, (ws, w, c)
+            assert res.estimate <= (1.0 + polygon_gap(K)) * exact * (1.0 + 1e-12), (ws, w, c)
+
+    def test_vertical_target_found_in_the_strongest_plane(self):
+        form = make_nonisotropic_form((0.5, 1.0, 2.0))
+        res = cc_distance(form, GroupElement(np.zeros(6), 0.5), K=64)
+        exact = 2.0 * math.sqrt(math.pi * 0.5 / 2.0)
+        assert exact == pytest.approx(1.772, abs=1e-3)
+        assert exact <= res.estimate <= (1.0 + polygon_gap(64)) * exact * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("K", [3, 4, 16, 64])
+    def test_vertical_target_is_the_regular_polygon(self, K):
+        for ws in WEIGHTINGS:
+            form = make_nonisotropic_form(ws)
+            for c in (0.5, -1.0, 7.25):
+                res = cc_distance(form, GroupElement(np.zeros(form.dim), c), K=K)
+                law = 2.0 * math.sqrt(K * math.tan(math.pi / K) * abs(c) / form.sv_max)
+                assert res.estimate == pytest.approx(law, rel=1e-12, abs=0.0)
+
+    def test_rotated_form_gives_the_block_form_estimate(self):
+        rng = np.random.default_rng(55)
+        for ws, w, c in random_targets(56, 4):
+            block = make_nonisotropic_form(ws)
+            Q, _ = np.linalg.qr(rng.standard_normal((block.dim, block.dim)))
+            turned = Q @ block.omega @ Q.T
+            rotated = SymplecticForm(0.5 * (turned - turned.T))
+            # omega'(x, y) = omega(Q^T x, Q^T y): target Q w there is w here
+            res = cc_distance(rotated, GroupElement(Q @ w, c), K=32)
+            ref = cc_distance(block, GroupElement(w, c), K=32)
+            assert res.estimate == pytest.approx(ref.estimate, rel=1e-9)
+            assert abs(res.c_residual) <= 1e-12 * (1.0 + abs(c))
+            assert np.array_equal(res.path.nodes[-1], Q @ w)
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_few_segments_match_a_direct_search(self, K):
+        rng = np.random.default_rng(57)
+        for ws in ((1.0,), (1.0, 2.5)):
+            form = make_nonisotropic_form(ws)
+            for _ in range(2):
+                w = rng.standard_normal(form.dim)
+                c = float(rng.standard_normal() * 2.0)
+                res = cc_distance(form, GroupElement(w, c), K=K)
+                assert res.converged and res.path.segments == K
+                searched = brute_force_distance(form, w, c, K)
+                assert res.estimate == pytest.approx(searched, rel=1e-8)
+                assert res.estimate >= gaveau_distance(ws, w, c) * (1.0 - 1e-12)
+
+    def test_paths_end_at_the_target_with_rounding_residual(self):
+        for K in (2, 3, 64):
+            for ws, w, c in random_targets(58, 4):
+                if K == 2 and not np.any(w):
+                    continue  # a closed 2-gon sweeps no area
+                form = make_nonisotropic_form(ws)
+                res = cc_distance(form, GroupElement(w, c), K=K)
+                lifted = lift(form, res.path)
+                assert np.array_equal(lifted.nodes[-1], w)
+                assert res.c_residual == float(lifted.vertical[-1]) - c
+                assert abs(res.c_residual) <= 1e-12 * (1.0 + abs(c))
+                assert res.estimate == res.path.length()
+
+    def test_converged_follows_the_tolerance(self, iso1):
+        assert C_TOL_REL == 1e-6
+        for w, c, K in (([0.3, -0.2], 1.5, 16), ([0.0, 0.0], 1.0, 2), ([1.0, 0.0], -0.4, 2)):
+            res = cc_distance(iso1, GroupElement(w, c), K=K)
+            assert res.converged == (abs(res.c_residual) <= C_TOL_REL * (1.0 + abs(c)))
+        # no closed 2-gon reaches (0, c): the residual says by how much
+        res = cc_distance(iso1, GroupElement([0.0, 0.0], 1.0), K=2)
+        assert not res.converged and res.c_residual == -1.0

@@ -49,6 +49,20 @@ class TestWrapAngle:
         out = wrap_angle(np.array([0.0, 7.0]))
         assert isinstance(out, np.ndarray) and out.shape == (2,)
 
+    def test_scalar_path_matches_array_path_bitwise(self):
+        rng = np.random.default_rng(22)
+        values = list(rng.uniform(-1e3, 1e3, size=2000))
+        values += list(-(10.0 ** rng.uniform(-300, -1, size=200)))
+        values += [0.0, -0.0, 5e-324, -5e-324, -1e-18, math.pi, -math.pi]
+        values += [k * TWO_PI for k in range(-50, 51)]
+        values += [math.nextafter(k * TWO_PI, d) for k in (-3, -1, 1, 3) for d in (-math.inf, math.inf)]
+        values += [7, -7, 0, 10**17]
+        array = wrap_angle(np.array(values, dtype=float))
+        for v, expected in zip(values, array):
+            got = wrap_angle(v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == expected.tobytes(), v
+
     def test_angle_distance(self):
         assert angle_distance(0.1, TWO_PI - 0.1) == pytest.approx(0.2, rel=1e-12)
         assert angle_distance(1.0, 1.0) == 0.0
