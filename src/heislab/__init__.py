@@ -10,13 +10,11 @@ optimal polygon for the horizontal distance.
 __version__ = "0.1.0"
 
 from .model import (
-    WienerModel,
     SymplecticForm,
     Projection,
     full_projection,
     make_isotropic_form,
     make_nonisotropic_form,
-    make_trace_class_form,
     check_hormander,
     project_element,
 )
@@ -32,14 +30,12 @@ from .group import (
     multiply_reduced,
     quotient,
     exp_group,
-    exp_reduced,
     bracket,
     wrap_angle,
     angle_distance,
 )
 from .calculus import (
     CylinderFunction,
-    Derivatives,
     left_invariant_derivative,
     second_invariant_derivative,
     horizontal_gradient,
@@ -61,7 +57,6 @@ from .diffusion import (
     simulate_endpoint,
     mc_expect,
     heat_equation_report,
-    heat_equation_residual,
     levy_area_char_function,
     endpoint_moments,
     SPACE_FULL,
@@ -106,15 +101,15 @@ from .config import (
 __all__ = [
     "__version__",
     # model
-    "WienerModel", "SymplecticForm", "Projection", "full_projection",
-    "make_isotropic_form", "make_nonisotropic_form", "make_trace_class_form",
+    "SymplecticForm", "Projection", "full_projection",
+    "make_isotropic_form", "make_nonisotropic_form",
     "check_hormander", "project_element",
     # group
     "TWO_PI", "GroupElement", "ReducedElement", "LieVector", "identity",
     "reduced_identity", "multiply", "inverse", "multiply_reduced", "quotient",
-    "exp_group", "exp_reduced", "bracket", "wrap_angle", "angle_distance",
+    "exp_group", "bracket", "wrap_angle", "angle_distance",
     # calculus
-    "CylinderFunction", "Derivatives", "left_invariant_derivative",
+    "CylinderFunction", "left_invariant_derivative",
     "second_invariant_derivative", "horizontal_gradient", "grad_norm_sq",
     "sub_laplacian", "compose_with_quotient", "compose_scalar",
     "multiply_functions", "registry_names", "make_registry_function",
@@ -122,7 +117,7 @@ __all__ = [
     # diffusion
     "PathConfig", "EndpointSample", "McEstimate", "EndpointBatch",
     "sample_unit_endpoints", "simulate_endpoint", "mc_expect",
-    "heat_equation_report", "heat_equation_residual",
+    "heat_equation_report",
     "levy_area_char_function", "endpoint_moments", "SPACE_FULL", "SPACE_REDUCED",
     # lsi
     "LsiReport", "entropy", "dirichlet_energy", "lsi_ratio", "FormFamily",

@@ -30,7 +30,6 @@ from .model import Projection, SymplecticForm, full_projection
 
 __all__ = [
     "CylinderFunction",
-    "Derivatives",
     "left_invariant_derivative",
     "second_invariant_derivative",
     "horizontal_gradient",
@@ -50,18 +49,6 @@ _H_SECOND = _EPS ** 0.25
 
 # tolerance of the construction-time periodicity probe
 _PERIODICITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Derivatives:
-    """Value and partials of F at one point (projected coordinates)."""
-
-    value: float
-    grad_w: np.ndarray
-    d_c: float
-    hess_ww: np.ndarray
-    hess_wc: np.ndarray
-    d_cc: float
 
 
 @dataclass(frozen=True)
@@ -136,20 +123,6 @@ class CylinderFunction:
                 np.asarray(self.d2F_dcc(wp, v), float),
             )
         return self._numeric_second(wp, v)
-
-    def derivatives(self, wp, v) -> Derivatives:
-        """Full bundle at a single point."""
-        wp = np.asarray(wp, float)
-        gw, gv = self.first_derivs(wp, v)
-        hww, hwv, hvv = self.second_derivs(wp, v)
-        return Derivatives(
-            value=float(self.value(wp, v)),
-            grad_w=np.asarray(gw, float),
-            d_c=float(gv),
-            hess_ww=np.asarray(hww, float),
-            hess_wc=np.asarray(hwv, float),
-            d_cc=float(hvv),
-        )
 
     # -- central differences ------------------------------------------------
 

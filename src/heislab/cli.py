@@ -3,12 +3,15 @@
 Every subcommand writes `report.json`, `summary.csv`, and `manifest.json`
 into its output directory (plus subcommand-specific extras).  Report and
 summary bodies are byte-identical across reruns with the same config;
-wall-clock information lives only in the manifest.  Exit codes: 0 success,
-1 when at least one emitted row has pass=false, 2 on configuration errors.
+wall-clock information lives only in the manifest.  Each artifact is
+renamed into place whole, and the manifest, written last, marks a complete
+run.  Exit codes: 0 success, 1 when at least one emitted row has
+pass=false, 2 on configuration errors or an unwritable output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.metadata
 import json
 import math
@@ -30,6 +33,7 @@ from .config import (
     ExperimentConfig,
     build_form,
     canonical_text,
+    format_value,
     parse_config,
 )
 from .diffusion import (
@@ -55,18 +59,6 @@ QUOTIENT_DEFAULT_FS = ("cos_theta",)
 # formatting helpers (deterministic, repr-based)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _scrub(obj):
     """Make a structure JSON-safe: cast numpy scalars, map non-finite to null."""
     if isinstance(obj, dict):
@@ -83,11 +75,12 @@ def _scrub(obj):
     return obj
 
 
-def _csv_text(echo_lines, header, rows) -> str:
+def _csv_text(echo_lines, rows) -> str:
+    """Config echo, then a header taken from the first row's keys, then rows."""
     lines = [f"# {line}" for line in echo_lines]
-    lines.append(",".join(header))
+    lines.append(",".join(rows[0]))
     for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in header))
+        lines.append(",".join(format_value(val) for val in row.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -95,16 +88,15 @@ def _dat_text(echo_lines, columns, pairs) -> str:
     lines = [f"# {line}" for line in echo_lines]
     lines.append(f"# columns: {columns}")
     for x, y in pairs:
-        lines.append(f"{_fmt(x)} {_fmt(y)}")
+        lines.append(f"{format_value(x)} {format_value(y)}")
     return "\n".join(lines) + "\n"
 
 
 @dataclass
 class _Payload:
     results: dict
-    header: list
-    rows: list
-    pass_values: list
+    rows: list  # summary.csv rows; every row has the same keys, "pass" among them
+    # extra artifacts: name -> list of row dicts (.csv) or (columns, pairs) (.dat)
     extra_files: dict = field(default_factory=dict)
 
 
@@ -113,7 +105,7 @@ class _Payload:
 
 
 def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> _Payload:
-    _, form = build_form(cfg)
+    form = build_form(cfg)
     batch = sample_unit_endpoints([form], cfg.steps, cfg.seed, cfg.m, workers)[0]
     rows = []
     for t in cfg.t:
@@ -135,19 +127,13 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
                     "pass": abs(gap) <= 3.0 * est.std_error,
                 }
             )
-    payload = _Payload(
-        results={"moments": rows, "m": cfg.m, "N": cfg.steps},
-        header=["t", "metric", "mean", "std_error", "expected", "z", "pass"],
-        rows=rows,
-        pass_values=[row["pass"] for row in rows],
-    )
+    payload = _Payload(results={"moments": rows, "m": cfg.m, "N": cfg.steps}, rows=rows)
     if dump_endpoints:
         t0 = cfg.t[0]
         w = batch.w_at(t0)
         c = batch.c_at(t0)
         theta = batch.theta_at(t0)
-        head = ["sample"] + [f"w_{j + 1}" for j in range(form.dim)] + ["c", "theta"]
-        dump_rows = [
+        payload.extra_files["endpoints.csv"] = [
             {
                 "sample": i,
                 **{f"w_{j + 1}": w[i, j] for j in range(form.dim)},
@@ -156,7 +142,6 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
             }
             for i in range(batch.m)
         ]
-        payload.extra_files["endpoints.csv"] = (head, dump_rows)
         payload.results["endpoints_csv_ref"] = "endpoints.csv"
         payload.results["endpoints_t"] = float(t0)
     return payload
@@ -165,7 +150,7 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
 def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
     if cfg.delta_t >= min(cfg.t):
         raise ConfigError([f"delta_t = {cfg.delta_t} must be smaller than every t in the grid"])
-    _, form = build_form(cfg)
+    form = build_form(cfg)
     batch = sample_unit_endpoints([form], cfg.steps, cfg.seed, cfg.m, workers)[0]
     rows = []
     for t in cfg.t:
@@ -186,9 +171,7 @@ def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
             )
     return _Payload(
         results={"heat_check": rows, "delta_t": cfg.delta_t, "m": cfg.m, "N": cfg.steps},
-        header=["t", "f", "residual", "std_error", "ddt_mean", "half_generator_mean", "pass"],
         rows=rows,
-        pass_values=[row["pass"] for row in rows],
     )
 
 
@@ -220,29 +203,12 @@ def _run_lsi_scan(cfg: ExperimentConfig, workers: int) -> _Payload:
         pairs = [(n, by_dim[n].ratio) for n in sorted(by_dim)]
         extra[f"max_ratio_vs_n_t{idx}.dat"] = ("n max_ratio", pairs)
     return _Payload(
-        results={"cells": json_rows, "summaries": summaries},
-        header=[
-            "n",
-            "t",
-            "form",
-            "f",
-            "entropy",
-            "entropy_se",
-            "energy",
-            "energy_se",
-            "ratio",
-            "ratio_se",
-            "bound",
-            "pass",
-        ],
-        rows=rows,
-        pass_values=[row["pass"] for row in rows],
-        extra_files={name: ("dat", cols, pairs) for name, (cols, pairs) in extra.items()},
+        results={"cells": json_rows, "summaries": summaries}, rows=rows, extra_files=extra
     )
 
 
 def _run_quotient_check(cfg: ExperimentConfig, workers: int) -> _Payload:
-    _, form = build_form(cfg)
+    form = build_form(cfg)
     fs = []
     for sel in cfg.f_or_default(QUOTIENT_DEFAULT_FS):
         f = make_registry_function(sel, form.dim)
@@ -272,54 +238,41 @@ def _run_quotient_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                     "pass": rep.bitwise_equal,
                 }
             )
-    return _Payload(
-        results={"quotient_check": rows, "m": cfg.m, "N": cfg.steps},
-        header=[
-            "t",
-            "f",
-            "value_max_diff",
-            "gradsq_max_diff",
-            "l2_reduced",
-            "l2_lifted",
-            "entropy_reduced",
-            "entropy_lifted",
-            "energy_reduced",
-            "energy_lifted",
-            "pass",
-        ],
-        rows=rows,
-        pass_values=[row["pass"] for row in rows],
-    )
+    return _Payload(results={"quotient_check": rows, "m": cfg.m, "N": cfg.steps}, rows=rows)
 
 
 def _run_distance(cfg: ExperimentConfig) -> _Payload:
-    _, form = build_form(cfg)
+    form = build_form(cfg)
     w = np.asarray(cfg.target_w, dtype=float)
     if w.shape != (form.dim,):
         raise ConfigError(
             [f"target_w has {w.size} entries but the form needs {form.dim}"]
         )
+    fibers = {}
     if cfg.space == SPACE_REDUCED:
-        red = cc_distance_reduced(
+        res = cc_distance_reduced(
             form,
             ReducedElement(w, float(wrap_angle(cfg.target_c))),
             K=cfg.K,
             k_window=cfg.k_window,
         )
-        estimate, residual = red.estimate, red.c_residual
-        winning_k: Optional[int] = red.winning_k
-        path, converged = red.path, red.converged
-        candidates = [
-            {"k": k, "estimate": est} for k, est in red.candidates
-        ]
+        winning_k = res.winning_k
+        fibers["fiber_candidates"] = [{"k": k, "estimate": est} for k, est in res.candidates]
     else:
         res = cc_distance(form, GroupElement(w, float(cfg.target_c)), K=cfg.K)
-        estimate, residual = res.estimate, res.c_residual
-        winning_k, path, converged = None, res.path, res.converged
-        candidates = []
+        winning_k = None
+    row = {
+        "estimate": res.estimate,
+        "residual": res.c_residual,
+        "winning_k": winning_k,
+        "K": cfg.K,
+        "converged": res.converged,
+        "pass": res.converged,
+    }
+    results = {key: val for key, val in row.items() if key != "pass"}
+    results.update(path_csv_ref="path.csv", **fibers)
 
-    lifted = lift(form, path)
-    head = ["node"] + [f"w_{j + 1}" for j in range(form.dim)] + ["c"]
+    lifted = lift(form, res.path)
     path_rows = [
         {
             "node": k,
@@ -328,34 +281,11 @@ def _run_distance(cfg: ExperimentConfig) -> _Payload:
         }
         for k in range(lifted.nodes.shape[0])
     ]
-    results = {
-        "estimate": estimate,
-        "residual": residual,
-        "winning_k": winning_k,
-        "K": cfg.K,
-        "path_csv_ref": "path.csv",
-        "converged": converged,
-    }
-    if candidates:
-        results["fiber_candidates"] = candidates
-    row = {
-        "estimate": estimate,
-        "residual": residual,
-        "winning_k": winning_k,
-        "K": cfg.K,
-        "converged": converged,
-        "pass": converged,
-    }
     plane_pairs = [(lifted.nodes[k, 0], lifted.nodes[k, 1]) for k in range(lifted.nodes.shape[0])]
     return _Payload(
         results=results,
-        header=["estimate", "residual", "winning_k", "K", "converged", "pass"],
         rows=[row],
-        pass_values=[row["pass"]],
-        extra_files={
-            "path.csv": (head, path_rows),
-            "path_plane.dat": ("dat", "w_1 w_2", plane_pairs),
-        },
+        extra_files={"path.csv": path_rows, "path_plane.dat": ("w_1 w_2", plane_pairs)},
     )
 
 
@@ -365,14 +295,14 @@ def _levy_reference(form: SymplecticForm, lam: float, t: float) -> float:
 
 
 def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
-    _, form = build_form(cfg)
+    form = build_form(cfg)
     batch = sample_unit_endpoints([form], cfg.steps, cfg.seed, cfg.m, workers)[0]
     rows = []
     extra = {}
     for idx, t in enumerate(cfg.t):
         pcfg = PathConfig(t=float(t), steps=cfg.steps, base_seed=cfg.seed)
         points = levy_area_char_function(form, pcfg, cfg.m, cfg.lambdas, workers, batch)
-        curve = []
+        first = len(rows)
         for pt in points:
             ref = _levy_reference(form, pt.lam, float(t))
             # first-order allowance for the finite-step area variance deficit
@@ -392,26 +322,44 @@ def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
                     "pass": ok,
                 }
             )
-            curve.append((pt.lam, pt.cos_mean))
-        extra[f"cf_curve_t{idx}.dat"] = ("dat", "lambda cos_mean", curve)
-        extra[f"cf_reference_t{idx}.dat"] = (
-            "dat",
-            "lambda reference",
-            [(pt.lam, _levy_reference(form, pt.lam, float(t))) for pt in points],
-        )
+        for name, col in (("cf_curve", "cos_mean"), ("cf_reference", "reference")):
+            pairs = [(row["lambda"], row[col]) for row in rows[first:]]
+            extra[f"{name}_t{idx}.dat"] = (f"lambda {col}", pairs)
     return _Payload(
-        results={"char_function": rows, "m": cfg.m, "N": cfg.steps},
-        header=["t", "lambda", "cos_mean", "cos_se", "sin_mean", "sin_se", "reference", "pass"],
-        rows=rows,
-        pass_values=[row["pass"] for row in rows],
-        extra_files=extra,
+        results={"char_function": rows, "m": cfg.m, "N": cfg.steps}, rows=rows, extra_files=extra
     )
 
 
 # ---------------------------------------------------------------------------
 # dispatch and artifact writing
 
-_SUBCOMMANDS = ("simulate", "heat-check", "lsi-scan", "quotient-check", "distance", "levy-cf")
+# name -> (runner(cfg, workers, dump_endpoints), help text of the command)
+_SUBCOMMANDS = {
+    "simulate": (
+        _run_simulate,
+        "Endpoint moments of the hypoelliptic diffusion vs exact references.",
+    ),
+    "heat-check": (
+        lambda cfg, workers, _: _run_heat_check(cfg, workers),
+        "Two-sided heat-equation residual d/dt E[f] - 0.5 E[L f].",
+    ),
+    "lsi-scan": (
+        lambda cfg, workers, _: _run_lsi_scan(cfg, workers),
+        "Entropy/energy ratio grid over dimensions, forms, times, functions.",
+    ),
+    "quotient-check": (
+        lambda cfg, workers, _: _run_quotient_check(cfg, workers),
+        "Bitwise comparison of reduced-group vs lifted full-group functionals.",
+    ),
+    "distance": (
+        lambda cfg, workers, _: _run_distance(cfg),
+        "Constrained-path distance to a configured target element.",
+    ),
+    "levy-cf": (
+        lambda cfg, workers, _: _run_levy_cf(cfg, workers),
+        "Characteristic function of the vertical coordinate vs closed form.",
+    ),
+}
 
 
 def run(
@@ -424,21 +372,12 @@ def run(
     """Execute one subcommand and write its artifacts; returns the exit code."""
     started = time.perf_counter()
     if subcommand not in _SUBCOMMANDS:
-        click.echo(f"unknown subcommand {subcommand!r}; expected one of {_SUBCOMMANDS}", err=True)
+        click.echo(
+            f"unknown subcommand {subcommand!r}; expected one of {tuple(_SUBCOMMANDS)}", err=True
+        )
         return 2
     try:
-        if subcommand == "simulate":
-            payload = _run_simulate(cfg, workers, dump_endpoints)
-        elif subcommand == "heat-check":
-            payload = _run_heat_check(cfg, workers)
-        elif subcommand == "lsi-scan":
-            payload = _run_lsi_scan(cfg, workers)
-        elif subcommand == "quotient-check":
-            payload = _run_quotient_check(cfg, workers)
-        elif subcommand == "distance":
-            payload = _run_distance(cfg)
-        else:
-            payload = _run_levy_cf(cfg, workers)
+        payload = _SUBCOMMANDS[subcommand][0](cfg, workers, dump_endpoints)
     except ConfigError as exc:
         for msg in exc.errors:
             click.echo(f"config error: {msg}", err=True)
@@ -446,7 +385,7 @@ def run(
 
     out_dir = out or cfg.out or f"{subcommand}-out"
     echo_lines = canonical_text(cfg).splitlines()
-    overall = all(v is not False for v in payload.pass_values)
+    overall = all(row["pass"] is not False for row in payload.rows)
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": subcommand,
@@ -454,15 +393,21 @@ def run(
         "results": payload.results,
         "overall_pass": overall,
     }
+    files = {
+        "report.json": json.dumps(_scrub(report), sort_keys=True, indent=2) + "\n",
+        "summary.csv": _csv_text(echo_lines, payload.rows),
+    }
+    for name, spec in payload.extra_files.items():
+        files[name] = (
+            _dat_text(echo_lines, *spec) if isinstance(spec, tuple) else _csv_text(echo_lines, spec)
+        )
     try:
         os.makedirs(out_dir, exist_ok=True)
-        _write(out_dir, "report.json", json.dumps(_scrub(report), sort_keys=True, indent=2) + "\n")
-        _write(out_dir, "summary.csv", _csv_text(echo_lines, payload.header, payload.rows))
-        for name, spec in payload.extra_files.items():
-            if spec[0] == "dat":
-                _write(out_dir, name, _dat_text(echo_lines, spec[1], spec[2]))
-            else:
-                _write(out_dir, name, _csv_text(echo_lines, spec[0], spec[1]))
+        # manifest.json marks a complete run, so an earlier run's goes first
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "manifest.json"))
+        for name, text in files.items():
+            _write(out_dir, name, text)
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "subcommand": subcommand,
@@ -481,15 +426,24 @@ def run(
         }
         _write(out_dir, "manifest.json", json.dumps(_scrub(manifest), sort_keys=True, indent=2) + "\n")
     except OSError as exc:
-        click.echo(f"cannot write artifact {getattr(exc, 'filename', out_dir)!r}: {exc}", err=True)
+        click.echo(f"cannot write artifact {exc.filename or out_dir!r}: {exc}", err=True)
         return 2
     click.echo(f"{subcommand}: {'ok' if overall else 'FAIL'} ({len(payload.rows)} rows) -> {out_dir}")
     return 0 if overall else 1
 
 
 def _write(out_dir: str, name: str, text: str) -> None:
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write one artifact whole or not at all: the text goes to a temporary
+    file in out_dir, which is then renamed over the final name."""
+    tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, os.path.join(out_dir, name))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -525,57 +479,24 @@ def main():
     """Heisenberg-group diffusion laboratory: simulate, check, scan, measure."""
 
 
-def _invoke(subcommand, config_path, overrides, workers, out_dir, dump_endpoints=False):
-    try:
-        cfg = _load_config(config_path, overrides)
-    except ConfigError as exc:
-        for msg in exc.errors:
-            click.echo(f"config error: {msg}", err=True)
-        sys.exit(2)
-    sys.exit(run(subcommand, cfg, workers=workers, out=out_dir, dump_endpoints=dump_endpoints))
+def _register(subcommand: str, help_text: str) -> None:
+    def command(config_path, overrides, workers, out_dir, dump_endpoints=False):
+        try:
+            cfg = _load_config(config_path, overrides)
+        except ConfigError as exc:
+            for msg in exc.errors:
+                click.echo(f"config error: {msg}", err=True)
+            sys.exit(2)
+        sys.exit(run(subcommand, cfg, workers=workers, out=out_dir, dump_endpoints=dump_endpoints))
+
+    if subcommand == "simulate":
+        command = click.option("--dump-endpoints", is_flag=True,
+                               help="Also write raw endpoints.csv.")(command)
+    main.command(subcommand, help=help_text)(_common(command))
 
 
-@main.command("simulate")
-@_common
-@click.option("--dump-endpoints", is_flag=True, help="Also write raw endpoints.csv.")
-def _cmd_simulate(config_path, overrides, workers, out_dir, dump_endpoints):
-    """Endpoint moments of the hypoelliptic diffusion vs exact references."""
-    _invoke("simulate", config_path, overrides, workers, out_dir, dump_endpoints)
-
-
-@main.command("heat-check")
-@_common
-def _cmd_heat_check(config_path, overrides, workers, out_dir):
-    """Two-sided heat-equation residual d/dt E[f] - 0.5 E[L f]."""
-    _invoke("heat-check", config_path, overrides, workers, out_dir)
-
-
-@main.command("lsi-scan")
-@_common
-def _cmd_lsi_scan(config_path, overrides, workers, out_dir):
-    """Entropy/energy ratio grid over dimensions, forms, times, functions."""
-    _invoke("lsi-scan", config_path, overrides, workers, out_dir)
-
-
-@main.command("quotient-check")
-@_common
-def _cmd_quotient_check(config_path, overrides, workers, out_dir):
-    """Bitwise comparison of reduced-group vs lifted full-group functionals."""
-    _invoke("quotient-check", config_path, overrides, workers, out_dir)
-
-
-@main.command("distance")
-@_common
-def _cmd_distance(config_path, overrides, workers, out_dir):
-    """Constrained-path distance to a configured target element."""
-    _invoke("distance", config_path, overrides, workers, out_dir)
-
-
-@main.command("levy-cf")
-@_common
-def _cmd_levy_cf(config_path, overrides, workers, out_dir):
-    """Characteristic function of the vertical coordinate vs closed form."""
-    _invoke("levy-cf", config_path, overrides, workers, out_dir)
+for _name, (_, _help) in _SUBCOMMANDS.items():
+    _register(_name, _help)
 
 
 if __name__ == "__main__":

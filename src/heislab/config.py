@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .calculus import REGISTRY_DEFAULT_SELECTION, make_registry_function
 from .diffusion import SPACE_FULL, SPACE_REDUCED
 from .lsi import family_from_name
@@ -25,7 +27,6 @@ from .model import (
     full_projection,
     make_isotropic_form,
     make_nonisotropic_form,
-    make_trace_class_form,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "canonical_text",
     "build_form",
     "build_projection",
+    "format_value",
 ]
 
 _FORM_KINDS = ("isotropic", "nonisotropic", "trace_class")
@@ -245,7 +247,7 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
         try:
             form = build_form(
                 ExperimentConfig(form=cfg.form, weights=cfg.weights, n=n_eff)
-            )[1]
+            )
         except ValueError as exc:
             errors.append(f"cannot build form: {exc}")
         if form is not None and cfg.projection is not None:
@@ -265,14 +267,16 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
     return errors
 
 
-def build_form(cfg: ExperimentConfig):
-    """Construct (model_or_None, SymplecticForm) from a validated config."""
+def build_form(cfg: ExperimentConfig) -> SymplecticForm:
+    """Construct the SymplecticForm of a validated config.
+
+    `trace_class` is an alias of `nonisotropic`: the realified weighted
+    pairing Im<w, z>_Q is the block form with weights q.
+    """
     if cfg.form == "isotropic":
-        return None, make_isotropic_form(cfg.n)
-    if cfg.form == "nonisotropic":
-        return None, make_nonisotropic_form(cfg.weights)
-    if cfg.form == "trace_class":
-        return make_trace_class_form(cfg.weights, cfg.n)
+        return make_isotropic_form(cfg.n)
+    if cfg.form in ("nonisotropic", "trace_class"):
+        return make_nonisotropic_form(cfg.weights)
     raise ValueError(f"unknown form kind {cfg.form!r}")
 
 
@@ -282,19 +286,25 @@ def build_projection(cfg: ExperimentConfig, form: SymplecticForm) -> Projection:
     return Projection(cfg.projection)
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """Canonical text of one value in every artifact: None is empty, booleans
+    are `true`/`false`, floats are their repr, tuples are comma-joined.
+
+    Numpy scalars are cast to Python ones first; repr(np.float64(x)) would
+    give `np.float64(x)`.
+    """
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, str):
         return value
     if isinstance(value, tuple):
-        return ",".join(_format_value(item) for item in value)
+        return ",".join(format_value(item) for item in value)
     raise TypeError(f"cannot format {value!r}")
 
 
@@ -303,5 +313,5 @@ def canonical_text(cfg: ExperimentConfig) -> str:
     lines = []
     for key in _KEYS:
         value = getattr(cfg, _KEY_TO_FIELD.get(key, key))
-        lines.append(f"{key} = {_format_value(value)}")
+        lines.append(f"{key} = {format_value(value)}")
     return "\n".join(lines) + "\n"

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calculus import CylinderFunction, grad_norm_sq_batch, sub_laplacian_batch, value_batch
+from .calculus import CylinderFunction, sub_laplacian_batch, value_batch
 from .group import GroupElement, ReducedElement, quotient, wrap_angle
 from .model import SymplecticForm
 
@@ -40,7 +40,6 @@ __all__ = [
     "simulate_endpoint",
     "mc_expect",
     "heat_equation_report",
-    "heat_equation_residual",
     "HeatCheckReport",
     "levy_area_char_function",
     "CharFunctionPoint",
@@ -304,18 +303,6 @@ def heat_equation_report(
         ddt=_mc_from_values(ddt_vals),
         half_generator=_mc_from_values(0.5 * lap_vals),
     )
-
-
-def heat_equation_residual(
-    form: SymplecticForm,
-    cfg: PathConfig,
-    f: CylinderFunction,
-    m: int,
-    delta_t: float,
-    workers: int = 1,
-    batch: Optional[EndpointBatch] = None,
-) -> float:
-    return heat_equation_report(form, cfg, f, m, delta_t, workers, batch).residual
 
 
 @dataclass(frozen=True)

@@ -88,24 +88,6 @@ class HorizontalPath:
         deltas = np.diff(self.nodes, axis=0)
         return float(np.sum(np.sqrt(np.einsum("kd,kd->k", deltas, deltas))))
 
-    def subdivide(self) -> "HorizontalPath":
-        """Insert segment midpoints; length and lifted area are unchanged."""
-        nodes = self.nodes
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        out = np.empty((2 * self.segments + 1, nodes.shape[1]))
-        out[0::2] = nodes
-        out[1::2] = mids
-        return HorizontalPath(out)
-
-    def resample(self, segments: int) -> "HorizontalPath":
-        """Linear re-interpolation onto a new uniform node index grid."""
-        if segments < 1:
-            raise ValueError("segments must be >= 1")
-        old = np.linspace(0.0, 1.0, self.nodes.shape[0])
-        new = np.linspace(0.0, 1.0, segments + 1)
-        cols = [np.interp(new, old, self.nodes[:, j]) for j in range(self.nodes.shape[1])]
-        return HorizontalPath(np.stack(cols, axis=1))
-
 
 @dataclass(frozen=True)
 class LiftedPath:

@@ -36,10 +36,7 @@ __all__ = [
     "multiply_reduced",
     "quotient",
     "exp_group",
-    "exp_reduced",
     "bracket",
-    "element_to_csv",
-    "element_from_csv",
 ]
 
 
@@ -182,31 +179,9 @@ def exp_group(X: LieVector) -> GroupElement:
     return GroupElement(X.A.copy(), X.a)
 
 
-def exp_reduced(X: LieVector) -> ReducedElement:
-    return quotient(exp_group(X))
-
-
 def bracket(form: "SymplecticForm", X: LieVector, Y: LieVector) -> LieVector:
     """Lie bracket [(A1,a1),(A2,a2)] = (0, omega(A1, A2))."""
     if X.A.shape[0] != form.dim or Y.A.shape[0] != form.dim:
         raise ValueError("dimension mismatch in bracket")
     return LieVector(np.zeros(form.dim), form.pair(X.A, Y.A))
 
-
-def element_to_csv(el) -> str:
-    """Serialize to `w_1,...,w_2n,c` (full) or `w_1,...,w_2n,theta` (reduced)."""
-    if isinstance(el, GroupElement):
-        tail = el.c
-    elif isinstance(el, ReducedElement):
-        tail = el.theta
-    else:
-        raise TypeError(f"not a group element: {type(el).__name__}")
-    return ",".join(repr(float(x)) for x in el.w) + "," + repr(float(tail))
-
-
-def element_from_csv(row: str, reduced: bool = False):
-    parts = [float(tok) for tok in row.strip().split(",")]
-    if len(parts) < 3 or len(parts) % 2 == 0:
-        raise ValueError("expected an even number of w-coordinates plus one vertical")
-    w, tail = parts[:-1], parts[-1]
-    return ReducedElement(w, tail) if reduced else GroupElement(w, tail)

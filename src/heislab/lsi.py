@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -109,7 +109,19 @@ class LsiReport:
         }
 
 
-def _moment_arrays(
+class _Sides(NamedTuple):
+    """Both sides of the inequality from one batch, with standard errors."""
+
+    f_sq: float  # E[f^2]
+    entropy: float
+    entropy_se: float
+    energy: float
+    energy_se: float
+    ratio: Optional[float]  # None when the energy mean is zero
+    ratio_se: Optional[float]
+
+
+def _sides(
     form: SymplecticForm,
     cfg: PathConfig,
     f: CylinderFunction,
@@ -117,7 +129,9 @@ def _moment_arrays(
     space: str,
     workers: int,
     batch: Optional[EndpointBatch],
-):
+) -> _Sides:
+    """The one estimator core: the means of f^2 log f^2, f^2 and |grad_H f|^2,
+    their joint sample covariance, and the delta-method errors from it."""
     if m < 2:
         raise ValueError("m must be >= 2")
     if space == SPACE_REDUCED and not f.periodic:
@@ -136,7 +150,20 @@ def _moment_arrays(
     gsq = grad_norm_sq_batch(form, f, w, v)
     if not np.all(np.isfinite(gsq)):
         raise RuntimeError(f"{f.name}: non-finite horizontal gradients")
-    return ylog, fsq, gsq
+    a, b, c = float(np.mean(ylog)), float(np.mean(fsq)), float(np.mean(gsq))
+    cov = np.cov(np.stack([ylog, fsq, gsq]), ddof=1)
+    h = _entropy_from_moments(a, b)
+    d_b = -(1.0 + math.log(b)) if b > _TINY else 0.0
+
+    def se(grad):
+        return math.sqrt(max(float(grad @ cov @ grad), 0.0) / m)
+
+    ratio = ratio_se = None
+    if c != 0.0:
+        ratio, ratio_se = h / c, se(np.array([1.0 / c, d_b / c, -h / (c * c)]))
+    return _Sides(f_sq=b, entropy=h, entropy_se=se(np.array([1.0, d_b, 0.0])), energy=c,
+                  energy_se=math.sqrt(max(float(cov[2, 2]), 0.0) / m),
+                  ratio=ratio, ratio_se=ratio_se)
 
 
 def _entropy_from_moments(a: float, b: float) -> float:
@@ -155,14 +182,10 @@ def entropy(
     batch: Optional[EndpointBatch] = None,
 ) -> McEstimate:
     """Ent(f^2) with a delta-method standard error."""
-    ylog, fsq, _ = _moment_arrays(form, cfg, f, m, space, workers, batch)
-    a, b = float(np.mean(ylog)), float(np.mean(fsq))
-    if b <= _TINY:
+    sides = _sides(form, cfg, f, m, space, workers, batch)
+    if sides.f_sq <= _TINY:
         raise ValueError(f"{f.name}: f vanishes on every sample; entropy is undefined")
-    cov = np.cov(np.stack([ylog, fsq]), ddof=1)
-    grad = np.array([1.0, -(1.0 + math.log(b)) if b > _TINY else 0.0])
-    var = float(grad @ cov @ grad) / m
-    return McEstimate(mean=_entropy_from_moments(a, b), std_error=math.sqrt(max(var, 0.0)), m=m)
+    return McEstimate(mean=sides.entropy, std_error=sides.entropy_se, m=m)
 
 
 def dirichlet_energy(
@@ -175,12 +198,15 @@ def dirichlet_energy(
     batch: Optional[EndpointBatch] = None,
 ) -> McEstimate:
     """E[|grad_H f|^2] with its standard error."""
-    _, _, gsq = _moment_arrays(form, cfg, f, m, space, workers, batch)
-    return McEstimate(
-        mean=float(np.mean(gsq)),
-        std_error=float(np.std(gsq, ddof=1) / math.sqrt(m)),
-        m=m,
-    )
+    sides = _sides(form, cfg, f, m, space, workers, batch)
+    return McEstimate(mean=sides.energy, std_error=sides.energy_se, m=m)
+
+
+def _cell(form_name: str, f: CylinderFunction, n: int, cfg: PathConfig, m: int,
+          c_ref: float, space: str) -> dict:
+    """The LsiReport fields that name a cell, shared by every status."""
+    return dict(form_name=form_name, f_name=f.name, n=n, t=cfg.t, m=m, c_ref=c_ref,
+                bound=c_ref * cfg.t, space=space, base_seed=cfg.base_seed)
 
 
 def lsi_ratio(
@@ -201,33 +227,15 @@ def lsi_ratio(
     errors the ratio is statistically meaningless and is reported as
     undefined rather than as a huge noisy number.
     """
-    ylog, fsq, gsq = _moment_arrays(form, cfg, f, m, space, workers, batch)
-    a, b, c = float(np.mean(ylog)), float(np.mean(fsq)), float(np.mean(gsq))
-    cov = np.cov(np.stack([ylog, fsq, gsq]), ddof=1)
-    log_b = math.log(b) if b > _TINY else 0.0
-    h = _entropy_from_moments(a, b)
-
-    g_h = np.array([1.0, -(1.0 + log_b) if b > _TINY else 0.0, 0.0])
-    h_se = math.sqrt(max(float(g_h @ cov @ g_h), 0.0) / m)
-    c_se = math.sqrt(max(float(cov[2, 2]), 0.0) / m)
-
-    bound = c_ref * cfg.t
+    sides = _sides(form, cfg, f, m, space, workers, batch)
     base = dict(
-        form_name=form_name,
-        f_name=f.name,
-        n=form.n,
-        t=cfg.t,
-        m=m,
-        entropy=h,
-        entropy_se=h_se,
-        energy=c,
-        energy_se=c_se,
-        c_ref=c_ref,
-        bound=bound,
-        space=space,
-        base_seed=cfg.base_seed,
+        _cell(form_name, f, form.n, cfg, m, c_ref, space),
+        entropy=sides.entropy,
+        entropy_se=sides.entropy_se,
+        energy=sides.energy,
+        energy_se=sides.energy_se,
     )
-    if not (c > _ENERGY_SNR * c_se and c > 0.0):
+    if not (sides.energy > _ENERGY_SNR * sides.energy_se and sides.energy > 0.0):
         return LsiReport(
             ratio=None,
             ratio_se=None,
@@ -236,11 +244,9 @@ def lsi_ratio(
             message="energy mean below its noise floor; ratio not quoted",
             **base,
         )
-    ratio = h / c
-    g_r = np.array([1.0 / c, (-(1.0 + log_b) if b > _TINY else 0.0) / c, -h / (c * c)])
-    ratio_se = math.sqrt(max(float(g_r @ cov @ g_r), 0.0) / m)
-    passed = ratio <= bound + 3.0 * ratio_se
-    return LsiReport(ratio=ratio, ratio_se=ratio_se, passed=passed, status=STATUS_OK, **base)
+    passed = sides.ratio <= base["bound"] + 3.0 * sides.ratio_se
+    return LsiReport(ratio=sides.ratio, ratio_se=sides.ratio_se, passed=passed,
+                     status=STATUS_OK, **base)
 
 
 @dataclass(frozen=True)
@@ -367,24 +373,16 @@ def lsi_scan(
                         )
                     except (RuntimeError, ValueError) as exc:
                         rep = LsiReport(
-                            form_name=fam.name,
-                            f_name=f.name,
-                            n=n,
-                            t=float(t),
-                            m=m,
-                            entropy=float("nan"),
-                            entropy_se=float("nan"),
-                            energy=float("nan"),
-                            energy_se=float("nan"),
+                            **_cell(fam.name, f, n, cfg, m, c_ref, space),
+                            entropy=math.nan,
+                            entropy_se=math.nan,
+                            energy=math.nan,
+                            energy_se=math.nan,
                             ratio=None,
                             ratio_se=None,
-                            c_ref=c_ref,
-                            bound=c_ref * float(t),
                             passed=None,
                             status=STATUS_ERROR,
                             message=str(exc),
-                            space=space,
-                            base_seed=base_seed,
                         )
                     reports.append(rep)
     return ScanResult(reports=tuple(reports))

@@ -2,15 +2,12 @@
 
 All computation happens in an orthonormal coordinate basis of R^{2n}; a
 group variant is determined by a single skew nondegenerate matrix Omega.
-The trace-class flavour additionally carries diagonal norm weights, but
-those are metadata: the Brownian covariance and every estimator below
-depend only on the orthonormal inner product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,48 +18,14 @@ from .group import GroupElement, ReducedElement
 NONDEGENERACY_RTOL = 1e-12
 
 __all__ = [
-    "WienerModel",
     "SymplecticForm",
     "Projection",
     "full_projection",
     "make_isotropic_form",
     "make_nonisotropic_form",
-    "make_trace_class_form",
     "check_hormander",
     "project_element",
 ]
-
-
-@dataclass(frozen=True)
-class WienerModel:
-    """Finite-dimensional stand-in for the Gaussian-space structure.
-
-    n:          half the horizontal dimension (the space is R^{2n}).
-    w_weights:  optional positive diagonal of the ambient-norm weighting;
-                metadata only, never enters simulation.
-    """
-
-    n: int
-    w_weights: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.w_weights is not None:
-            ws = tuple(float(q) for q in self.w_weights)
-            if len(ws) != 2 * self.n:
-                raise ValueError("w_weights must have length 2n")
-            if any(q <= 0 for q in ws):
-                raise ValueError("w_weights must be positive")
-            object.__setattr__(self, "w_weights", ws)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-    def h_inner(self, x, y) -> float:
-        # identity-by-convention inner product in the chosen basis
-        return float(np.dot(np.asarray(x, float), np.asarray(y, float)))
 
 
 @dataclass(frozen=True)
@@ -182,29 +145,6 @@ def make_nonisotropic_form(weights: Sequence[float]) -> SymplecticForm:
     if any(a <= 0 for a in ws):
         raise ValueError("weights must be positive")
     return SymplecticForm(_block_diag_form(ws))
-
-
-def make_trace_class_form(q: Sequence[float], n: int):
-    """Realified form of the weighted complex pairing Im<w, z>_Q.
-
-    The complex space C^n with positive eigenvalues q_j, realified to
-    R^{2n}, has Im<w,z>_Q = sum_j q_j (w_{2j-1} z_{2j} - w_{2j} z_{2j-1}),
-    i.e. exactly the nonisotropic block form with weights q.  The model
-    records each q_j twice (once per real coordinate of the j-th complex
-    direction).
-    """
-    qs = [float(v) for v in q]
-    if len(qs) == 0:
-        raise ValueError("q must be nonempty")
-    if len(qs) != n:
-        raise ValueError("q must have length n")
-    if any(v <= 0 for v in qs):
-        raise ValueError("q must be positive")
-    weights = []
-    for v in qs:
-        weights.extend([v, v])
-    model = WienerModel(n=n, w_weights=tuple(weights))
-    return model, make_nonisotropic_form(qs)
 
 
 def check_hormander(form: SymplecticForm, p: Projection) -> bool:

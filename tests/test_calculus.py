@@ -239,14 +239,6 @@ class TestNumericMode:
         with pytest.raises(ValueError):
             f.first_derivs(np.zeros((1, 2)), np.zeros(1))
 
-    def test_derivatives_bundle(self, iso1):
-        f = make_registry_function("gauss_bump(1.0)", 2)
-        d = f.derivatives(np.array([0.3, 0.1]), 0.7)
-        gw, gv = f.first_derivs(np.array([0.3, 0.1]), 0.7)
-        assert d.value == float(f.value(np.array([0.3, 0.1]), 0.7))
-        assert np.array_equal(d.grad_w, gw) and d.d_c == float(gv)
-        assert d.hess_ww.shape == (2, 2) and d.hess_wc.shape == (2,)
-
 
 class TestBatchedEvaluation:
     @pytest.mark.parametrize("selector", list(REGISTRY_DEFAULT_SELECTION))

@@ -1,6 +1,8 @@
 """Command-line harness: artifacts, reproducibility, exit codes."""
 
+import errno
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from heislab import ExperimentConfig, __version__
+from heislab import ExperimentConfig, __version__, cli, parse_config
 from heislab.cli import main, run
 
 FAST = ["--set", "m = 400", "--set", "N = 50"]
@@ -179,6 +181,71 @@ class TestExitCodes:
         res = runner.invoke(main, ["simulate", *FAST, "--set", f"out = {blocker}"])
         assert res.exit_code == 2
         assert "cannot write" in res.stderr
+
+
+# the headers listed under "Artifacts" in the README
+SUMMARY_HEADERS = {
+    "simulate": "t,metric,mean,std_error,expected,z,pass",
+    "heat-check": "t,f,residual,std_error,ddt_mean,half_generator_mean,pass",
+    "lsi-scan": "n,t,form,f,entropy,entropy_se,energy,energy_se,ratio,ratio_se,bound,pass",
+    "quotient-check": "t,f,value_max_diff,gradsq_max_diff,l2_reduced,l2_lifted,"
+                      "entropy_reduced,entropy_lifted,energy_reduced,energy_lifted,pass",
+    "distance": "estimate,residual,winning_k,K,converged,pass",
+    "levy-cf": "t,lambda,cos_mean,cos_se,sin_mean,sin_se,reference,pass",
+}
+SMALL = "m = 400\nN = 20\ndims = 1\nK = 8\n"
+
+
+class TestSummaryHeaders:
+    @pytest.mark.parametrize("subcommand", list(SUMMARY_HEADERS))
+    def test_header_matches_readme(self, subcommand, tmp_path):
+        assert run(subcommand, parse_config(SMALL), out=str(tmp_path)) in (0, 1)
+        lines = _read(tmp_path / "summary.csv").splitlines()
+        assert lines[20] == SUMMARY_HEADERS[subcommand]
+        assert len(lines) > 21
+
+
+class _HalfWrittenFile:
+    """Writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrites:
+    def test_failed_write_leaves_no_partial_artifact(self, tmp_path, monkeypatch):
+        cfg = parse_config(SMALL)
+        ref, rerun, fresh = tmp_path / "ref", tmp_path / "rerun", tmp_path / "fresh"
+        for out in (ref, rerun):
+            assert run("simulate", cfg, out=str(out), dump_endpoints=True) == 0
+        opened = []
+
+        def open_failing_second(path, *args, **kwargs):
+            opened.append(path)
+            fh = open(path, *args, **kwargs)
+            return _HalfWrittenFile(fh) if len(opened) == 2 else fh
+
+        monkeypatch.setattr(cli, "open", open_failing_second, raising=False)
+        # the second artifact (summary.csv) fails halfway, in a fresh directory
+        # and over the complete artifacts of an earlier run
+        for out in (fresh, rerun):
+            opened.clear()
+            assert run("simulate", cfg, out=str(out), dump_endpoints=True) == 2
+            names = sorted(os.listdir(out))
+            assert "report.json" in names and "manifest.json" not in names
+            for name in names:
+                assert _read(out / name) == _read(ref / name), name
 
 
 class TestLsiScan:

@@ -1,5 +1,6 @@
 """Key=value experiment configuration: parsing, validation, canonical echo."""
 
+import numpy as np
 import pytest
 
 from heislab import (
@@ -11,6 +12,7 @@ from heislab import (
     canonical_text,
     parse_config,
 )
+from heislab.config import format_value
 
 
 class TestDefaults:
@@ -116,12 +118,12 @@ class TestProjectionValidation:
     def test_valid_sub_projection(self):
         cfg = parse_config("n = 2\nprojection = 3, 4")
         assert cfg.projection == (3, 4)
-        _, form = build_form(cfg)
+        form = build_form(cfg)
         assert build_projection(cfg, form).indices == (3, 4)
 
     def test_default_projection_is_full(self):
         cfg = parse_config("n = 2")
-        _, form = build_form(cfg)
+        form = build_form(cfg)
         assert build_projection(cfg, form).indices == (1, 2, 3, 4)
 
     @pytest.mark.parametrize(
@@ -141,19 +143,18 @@ class TestProjectionValidation:
 
 class TestBuildForm:
     def test_isotropic(self):
-        model, form = build_form(parse_config("n = 3"))
-        assert model is None and form.n == 3 and form.omega[0, 1] == 1.0
+        form = build_form(parse_config("n = 3"))
+        assert form.n == 3 and form.omega[0, 1] == 1.0
 
     def test_nonisotropic(self):
-        model, form = build_form(parse_config("form = nonisotropic\nweights = 2, 5"))
-        assert model is None
+        form = build_form(parse_config("form = nonisotropic\nweights = 2, 5"))
         assert form.omega[0, 1] == 2.0 and form.omega[2, 3] == 5.0
 
     def test_trace_class(self):
-        cfg = parse_config("form = trace_class\nweights = 1, 0.5")
-        model, form = build_form(cfg)
-        assert model is not None
-        assert model.dim == 4
+        # an alias: Im<w, z>_Q realified is the block form with weights q
+        form = build_form(parse_config("form = trace_class\nweights = 1, 0.5"))
+        noniso = build_form(parse_config("form = nonisotropic\nweights = 1, 0.5"))
+        assert np.array_equal(form.omega, noniso.omega)
         assert form.omega[0, 1] == 1.0 and form.omega[2, 3] == 0.5
 
 
@@ -184,3 +185,13 @@ class TestCanonicalText:
     def test_float_echo_is_exact(self):
         cfg = parse_config("t = 0.30000000000000004")
         assert "t = 0.30000000000000004" in canonical_text(cfg)
+
+
+class TestFormatValue:
+    def test_numpy_scalars_format_like_python_ones(self):
+        assert format_value(np.float64(0.1)) == format_value(0.1) == "0.1"
+        assert format_value(np.float32(0.5)) == "0.5"
+        assert format_value(np.int64(7)) == format_value(7) == "7"
+        assert format_value(np.bool_(True)) == format_value(True) == "true"
+        assert format_value(None) == "" and format_value(False) == "false"
+        assert format_value(("a", 1.5, 2)) == "a,1.5,2"

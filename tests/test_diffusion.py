@@ -13,7 +13,6 @@ from heislab import (
     SPACE_REDUCED,
     endpoint_moments,
     heat_equation_report,
-    heat_equation_residual,
     levy_area_char_function,
     make_isotropic_form,
     make_nonisotropic_form,
@@ -218,9 +217,6 @@ class TestHeatEquation:
         assert rep.residual == pytest.approx(
             abs(rep.ddt.mean - rep.half_generator.mean), rel=1e-9, abs=1e-12
         )
-        assert heat_equation_residual(
-            iso1, cfg, f, m=batch_iso1.m, delta_t=0.05, batch=batch_iso1
-        ) == rep.residual
 
     def test_coarse_difference_breaks_for_curved_profile(self, iso1, batch_iso1):
         # gauss_bump has genuine curvature in t; a huge delta_t must show it

@@ -46,25 +46,6 @@ class TestHorizontalPath:
         assert p.segments == 2
         assert p.length() == 6.0
 
-    def test_subdivide_preserves_length_and_area(self, iso1):
-        p = HorizontalPath([[0.0, 0.0], [1.0, 0.2], [0.3, 1.5], [-0.7, 0.9]])
-        q = p.subdivide()
-        assert q.segments == 2 * p.segments
-        assert q.length() == pytest.approx(p.length(), rel=1e-14)
-        assert lift(iso1, q).endpoint.c == pytest.approx(
-            lift(iso1, p).endpoint.c, rel=1e-14, abs=1e-15
-        )
-        assert np.array_equal(q.nodes[0::2], p.nodes)
-
-    def test_resample(self):
-        p = HorizontalPath([[0.0, 0.0], [1.0, 1.0]])
-        q = p.resample(4)
-        assert q.segments == 4
-        assert np.allclose(q.nodes[:, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert q.length() == pytest.approx(p.length(), rel=1e-14)
-        with pytest.raises(ValueError):
-            p.resample(0)
-
 
 class TestLift:
     def test_unit_square_loop_area(self, iso1):

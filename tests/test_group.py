@@ -1,4 +1,4 @@
-"""Group laws, the circle quotient, and serialization."""
+"""Group laws and the circle quotient."""
 
 import math
 
@@ -12,7 +12,6 @@ from heislab import (
     ReducedElement,
     bracket,
     exp_group,
-    exp_reduced,
     identity,
     inverse,
     multiply,
@@ -21,7 +20,7 @@ from heislab import (
     reduced_identity,
     wrap_angle,
 )
-from heislab.group import angle_distance, element_from_csv, element_to_csv
+from heislab.group import angle_distance
 
 
 class TestWrapAngle:
@@ -180,11 +179,6 @@ class TestExponentialAndBracket:
         g = exp_group(X)
         assert np.array_equal(g.w, X.A) and g.c == X.a
 
-    def test_exp_reduced_wraps(self):
-        X = LieVector([1.0, -2.0], 7.0)
-        r = exp_reduced(X)
-        assert r.theta == wrap_angle(7.0)
-
     def test_bracket_is_vertical(self, iso2):
         rng = np.random.default_rng(27)
         X = LieVector(rng.standard_normal(4), 1.0)
@@ -207,25 +201,3 @@ class TestExponentialAndBracket:
     def test_bracket_dimension_mismatch(self, iso1):
         with pytest.raises(ValueError):
             bracket(iso1, LieVector(np.zeros(4), 0.0), LieVector(np.zeros(4), 0.0))
-
-
-class TestCsv:
-    def test_roundtrip_full(self):
-        g = GroupElement([0.1, -2.5, 1e-17, 3.0], -7.25)
-        back = element_from_csv(element_to_csv(g))
-        assert isinstance(back, GroupElement)
-        assert np.array_equal(back.w, g.w) and back.c == g.c
-
-    def test_roundtrip_reduced(self):
-        r = ReducedElement([1.0, 2.0], 0.5)
-        back = element_from_csv(element_to_csv(r), reduced=True)
-        assert isinstance(back, ReducedElement)
-        assert np.array_equal(back.w, r.w) and back.theta == r.theta
-
-    def test_malformed_rows(self):
-        with pytest.raises(ValueError):
-            element_from_csv("1.0,2.0")  # no vertical coordinate
-        with pytest.raises(ValueError):
-            element_from_csv("1.0,2.0,3.0,4.0")  # odd w-count
-        with pytest.raises(TypeError):
-            element_to_csv((1.0, 2.0))

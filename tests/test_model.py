@@ -8,31 +8,12 @@ from heislab import (
     Projection,
     ReducedElement,
     SymplecticForm,
-    WienerModel,
     check_hormander,
     full_projection,
     make_isotropic_form,
     make_nonisotropic_form,
-    make_trace_class_form,
     project_element,
 )
-
-
-class TestWienerModel:
-    def test_dimension_and_inner_product(self):
-        model = WienerModel(n=3)
-        assert model.dim == 6
-        assert model.h_inner([1, 2, 0, 0, 0, 0], [3, 4, 0, 0, 0, 0]) == 11.0
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            WienerModel(n=0)
-        with pytest.raises(ValueError):
-            WienerModel(n=2, w_weights=(1.0, 2.0))  # needs length 2n
-        with pytest.raises(ValueError):
-            WienerModel(n=1, w_weights=(1.0, -2.0))
-        model = WienerModel(n=1, w_weights=[2, 3])
-        assert model.w_weights == (2.0, 3.0)
 
 
 class TestSymplecticForm:
@@ -109,22 +90,6 @@ class TestSymplecticForm:
     def test_block_layout(self):
         form = make_nonisotropic_form((4.0,))
         assert np.array_equal(form.omega, np.array([[0.0, 4.0], [-4.0, 0.0]]))
-
-
-class TestTraceClassForm:
-    def test_duplicated_weights_and_matching_form(self):
-        model, form = make_trace_class_form((2.0, 0.5), n=2)
-        assert model.n == 2
-        assert model.w_weights == (2.0, 2.0, 0.5, 0.5)
-        assert np.array_equal(form.omega, make_nonisotropic_form((2.0, 0.5)).omega)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            make_trace_class_form((), n=0)
-        with pytest.raises(ValueError):
-            make_trace_class_form((1.0,), n=2)  # length mismatch
-        with pytest.raises(ValueError):
-            make_trace_class_form((-1.0,), n=1)
 
 
 class TestProjection:
