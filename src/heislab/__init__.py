@@ -24,7 +24,6 @@ from .group import (
     ReducedElement,
     LieVector,
     identity,
-    reduced_identity,
     multiply,
     inverse,
     multiply_reduced,
@@ -42,7 +41,6 @@ from .calculus import (
     grad_norm_sq,
     sub_laplacian,
     compose_with_quotient,
-    compose_scalar,
     multiply_functions,
     registry_names,
     make_registry_function,
@@ -55,7 +53,6 @@ from .diffusion import (
     EndpointBatch,
     sample_unit_endpoints,
     simulate_endpoint,
-    mc_expect,
     heat_equation_report,
     levy_area_char_function,
     endpoint_moments,
@@ -106,17 +103,17 @@ __all__ = [
     "check_hormander", "project_element",
     # group
     "TWO_PI", "GroupElement", "ReducedElement", "LieVector", "identity",
-    "reduced_identity", "multiply", "inverse", "multiply_reduced", "quotient",
+    "multiply", "inverse", "multiply_reduced", "quotient",
     "exp_group", "bracket", "wrap_angle", "angle_distance",
     # calculus
     "CylinderFunction", "left_invariant_derivative",
     "second_invariant_derivative", "horizontal_gradient", "grad_norm_sq",
-    "sub_laplacian", "compose_with_quotient", "compose_scalar",
+    "sub_laplacian", "compose_with_quotient",
     "multiply_functions", "registry_names", "make_registry_function",
     "REGISTRY_DEFAULT_SELECTION",
     # diffusion
     "PathConfig", "EndpointSample", "McEstimate", "EndpointBatch",
-    "sample_unit_endpoints", "simulate_endpoint", "mc_expect",
+    "sample_unit_endpoints", "simulate_endpoint",
     "heat_equation_report",
     "levy_area_char_function", "endpoint_moments", "SPACE_FULL", "SPACE_REDUCED",
     # lsi

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -36,16 +36,11 @@ __all__ = [
     "grad_norm_sq",
     "sub_laplacian",
     "compose_with_quotient",
-    "compose_scalar",
     "multiply_functions",
     "make_registry_function",
     "registry_names",
     "REGISTRY_DEFAULT_SELECTION",
 ]
-
-_EPS = float(np.finfo(float).eps)
-_H_FIRST = _EPS ** (1.0 / 3.0)
-_H_SECOND = _EPS ** 0.25
 
 # tolerance of the construction-time periodicity probe
 _PERIODICITY_TOL = 1e-10
@@ -53,15 +48,13 @@ _PERIODICITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CylinderFunction:
-    """F over a coordinate projection plus the vertical coordinate.
+    """F over a coordinate projection plus the vertical coordinate, with its
+    exact partials.
 
-    F and the optional partials must be vectorized: wp has shape (..., 2m)
-    (the projected coordinates in index order), v has shape (...), and every
-    callable returns arrays with matching leading axes.
-
-    derivative_mode "analytic" uses the supplied partials; "numeric" uses
-    central differences with steps eps^(1/3)*(1+|x|) for first and
-    eps^(1/4)*(1+|x|) for second derivatives.
+    F and the five partials must be vectorized: wp has shape (..., 2m) (the
+    projected coordinates in index order), v has shape (...), and every
+    callable returns arrays with matching leading axes: dF_dw (..., 2m),
+    dF_dc (...), d2F_dww (..., 2m, 2m), d2F_dwc (..., 2m), d2F_dcc (...).
 
     periodic=True declares 2*pi-periodicity in the vertical argument (checked
     at construction on a probe grid); only periodic functions may be read on
@@ -71,17 +64,14 @@ class CylinderFunction:
     name: str
     projection: Projection
     F: Callable
+    dF_dw: Callable
+    dF_dc: Callable
+    d2F_dww: Callable
+    d2F_dwc: Callable
+    d2F_dcc: Callable
     periodic: bool = False
-    derivative_mode: str = "analytic"
-    dF_dw: Optional[Callable] = None
-    dF_dc: Optional[Callable] = None
-    d2F_dww: Optional[Callable] = None
-    d2F_dwc: Optional[Callable] = None
-    d2F_dcc: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.derivative_mode not in ("analytic", "numeric"):
-            raise ValueError("derivative_mode must be 'analytic' or 'numeric'")
         if self.periodic:
             self._check_periodicity()
 
@@ -104,87 +94,28 @@ class CylinderFunction:
         """(dF/dw (..., 2m), dF/dc (...)) at the given points."""
         wp = np.asarray(wp, float)
         v = np.asarray(v, float)
-        if self.derivative_mode == "analytic":
-            if self.dF_dw is None or self.dF_dc is None:
-                raise ValueError(f"{self.name}: missing first partials in analytic mode")
-            return np.asarray(self.dF_dw(wp, v), float), np.asarray(self.dF_dc(wp, v), float)
-        return self._numeric_first(wp, v)
+        return np.asarray(self.dF_dw(wp, v), float), np.asarray(self.dF_dc(wp, v), float)
 
     def second_derivs(self, wp, v):
         """(d2F/dww (..., 2m, 2m), d2F/dwc (..., 2m), d2F/dcc (...))."""
         wp = np.asarray(wp, float)
         v = np.asarray(v, float)
-        if self.derivative_mode == "analytic":
-            if self.d2F_dww is None or self.d2F_dwc is None or self.d2F_dcc is None:
-                raise ValueError(f"{self.name}: missing second partials in analytic mode")
-            return (
-                np.asarray(self.d2F_dww(wp, v), float),
-                np.asarray(self.d2F_dwc(wp, v), float),
-                np.asarray(self.d2F_dcc(wp, v), float),
-            )
-        return self._numeric_second(wp, v)
-
-    # -- central differences ------------------------------------------------
-
-    def _numeric_first(self, wp, v):
-        k = wp.shape[-1]
-        gw = np.empty_like(wp)
-        for j in range(k):
-            h = _H_FIRST * (1.0 + np.abs(wp[..., j]))
-            up = wp.copy()
-            dn = wp.copy()
-            up[..., j] += h
-            dn[..., j] -= h
-            gw[..., j] = (self.value(up, v) - self.value(dn, v)) / (2.0 * h)
-        hv = _H_FIRST * (1.0 + np.abs(v))
-        gv = (self.value(wp, v + hv) - self.value(wp, v - hv)) / (2.0 * hv)
-        return gw, gv
-
-    def _numeric_second(self, wp, v):
-        k = wp.shape[-1]
-        f0 = self.value(wp, v)
-
-        def shift(j, amount):
-            out = wp.copy()
-            out[..., j] += amount
-            return out
-
-        hs = [_H_SECOND * (1.0 + np.abs(wp[..., j])) for j in range(k)]
-        hww = np.empty(wp.shape + (k,))
-        for i in range(k):
-            hww[..., i, i] = (
-                self.value(shift(i, hs[i]), v) - 2.0 * f0 + self.value(shift(i, -hs[i]), v)
-            ) / hs[i] ** 2
-            for j in range(i + 1, k):
-                pp = shift(i, hs[i]); pp[..., j] += hs[j]
-                pm = shift(i, hs[i]); pm[..., j] -= hs[j]
-                mp = shift(i, -hs[i]); mp[..., j] += hs[j]
-                mm = shift(i, -hs[i]); mm[..., j] -= hs[j]
-                val = (
-                    self.value(pp, v) - self.value(pm, v) - self.value(mp, v) + self.value(mm, v)
-                ) / (4.0 * hs[i] * hs[j])
-                hww[..., i, j] = val
-                hww[..., j, i] = val
-        hv = _H_SECOND * (1.0 + np.abs(v))
-        hvv = (self.value(wp, v + hv) - 2.0 * f0 + self.value(wp, v - hv)) / hv ** 2
-        hwv = np.empty_like(wp)
-        for j in range(k):
-            hwv[..., j] = (
-                self.value(shift(j, hs[j]), v + hv)
-                - self.value(shift(j, hs[j]), v - hv)
-                - self.value(shift(j, -hs[j]), v + hv)
-                + self.value(shift(j, -hs[j]), v - hv)
-            ) / (4.0 * hs[j] * hv)
-        return hww, hwv, hvv
+        return (
+            np.asarray(self.d2F_dww(wp, v), float),
+            np.asarray(self.d2F_dwc(wp, v), float),
+            np.asarray(self.d2F_dcc(wp, v), float),
+        )
 
 
 # -- helpers ---------------------------------------------------------------
 
 
-def _vertical_of(g) -> float:
+def _vertical_of(f: CylinderFunction, g) -> float:
     if isinstance(g, GroupElement):
         return g.c
     if isinstance(g, ReducedElement):
+        if not f.periodic:
+            raise ValueError(f"{f.name}: the reduced group needs a periodic function")
         return g.theta
     raise TypeError(f"not a group element: {type(g).__name__}")
 
@@ -208,7 +139,7 @@ def left_invariant_derivative(
     ix = _check_compat(form, f, g)
     if X.A.shape[0] != form.dim:
         raise ValueError("Lie vector dimension mismatch")
-    v = _vertical_of(g)
+    v = _vertical_of(f, g)
     gw, gv = f.first_derivs(g.w[ix], v)
     rate = X.a + 0.5 * form.pair(g.w, X.A)
     return float(np.dot(gw, X.A[ix]) + rate * gv)
@@ -224,7 +155,7 @@ def second_invariant_derivative(
     A^T Hww A + 2 r A^T Hwc + r^2 Hcc over the embedded Hessian.
     """
     ix = _check_compat(form, f, g)
-    v = _vertical_of(g)
+    v = _vertical_of(f, g)
     hww, hwc, hcc = f.second_derivs(g.w[ix], v)
     Ap = X.A[ix]
     r = X.a + 0.5 * form.pair(g.w, X.A)
@@ -234,7 +165,7 @@ def second_invariant_derivative(
 def horizontal_gradient(form: SymplecticForm, f: CylinderFunction, g) -> np.ndarray:
     """Vector of length 2n with entries (e_j,0)~ f at g."""
     ix = _check_compat(form, f, g)
-    v = _vertical_of(g)
+    v = _vertical_of(f, g)
     gw, gv = f.first_derivs(g.w[ix], v)
     u = form.pair_with_basis(g.w)  # omega(w, e_j) over all j
     out = 0.5 * gv * u
@@ -250,7 +181,7 @@ def grad_norm_sq(form: SymplecticForm, f: CylinderFunction, g) -> float:
 def sub_laplacian(form: SymplecticForm, f: CylinderFunction, g) -> float:
     """Sum over the 2n basis directions of the squared horizontal fields."""
     ix = _check_compat(form, f, g)
-    v = _vertical_of(g)
+    v = _vertical_of(f, g)
     hww, hwc, hcc = f.second_derivs(g.w[ix], v)
     u = form.pair_with_basis(g.w)
     return float(
@@ -303,16 +234,12 @@ def compose_with_quotient(f: CylinderFunction) -> CylinderFunction:
 
     Because the lift wraps its vertical argument with the same wrap used for
     reduced endpoints, the per-sample identity (f o phi)(g) = f(phi(g)) holds
-    bit for bit, and likewise for every derivative.  In numeric mode the
-    wrapped seam c = 0 mod 2*pi is a measure-zero set where central
-    differences straddle the jump; analytic partials are exact everywhere.
+    bit for bit, and likewise for every derivative.
     """
     if not f.periodic:
         raise ValueError(f"{f.name}: only periodic functions factor through the quotient")
 
     def lift(call):
-        if call is None:
-            return None
         return lambda wp, v: call(wp, wrap_angle(np.asarray(v, float)))
 
     return replace(
@@ -328,74 +255,10 @@ def compose_with_quotient(f: CylinderFunction) -> CylinderFunction:
     )
 
 
-def compose_scalar(
-    phi: Callable,
-    dphi: Optional[Callable],
-    d2phi: Optional[Callable],
-    f: CylinderFunction,
-    name: Optional[str] = None,
-) -> CylinderFunction:
-    """Post-compose with a smooth scalar map: g -> phi(f(g)).
-
-    Chain rule: grad(phi o f) = phi'(f) grad f, so |phi'| <= 1 contracts the
-    gradient norm pointwise.
-    """
-    if f.derivative_mode == "analytic" and (dphi is None or d2phi is None):
-        raise ValueError("analytic composition needs dphi and d2phi")
-
-    def F(wp, v):
-        return phi(f.F(wp, v))
-
-    # numeric mode differentiates the composite directly; drop stale partials
-    kwargs = dict(dF_dw=None, dF_dc=None, d2F_dww=None, d2F_dwc=None, d2F_dcc=None)
-    if f.derivative_mode == "analytic":
-        base_F = f.F
-        base_gw, base_gv = f.dF_dw, f.dF_dc
-        base_hww, base_hwc, base_hcc = f.d2F_dww, f.d2F_dwc, f.d2F_dcc
-
-        def dF_dw(wp, v):
-            return dphi(base_F(wp, v))[..., None] * np.asarray(base_gw(wp, v), float)
-
-        def dF_dc(wp, v):
-            return dphi(base_F(wp, v)) * np.asarray(base_gv(wp, v), float)
-
-        def d2F_dww(wp, v):
-            val = base_F(wp, v)
-            gw = np.asarray(base_gw(wp, v), float)
-            d1 = np.asarray(dphi(val), float)
-            d2 = np.asarray(d2phi(val), float)
-            outer = gw[..., :, None] * gw[..., None, :]
-            return d1[..., None, None] * np.asarray(base_hww(wp, v), float) + d2[..., None, None] * outer
-
-        def d2F_dwc(wp, v):
-            val = base_F(wp, v)
-            gw = np.asarray(base_gw(wp, v), float)
-            gv = np.asarray(base_gv(wp, v), float)
-            d1 = np.asarray(dphi(val), float)
-            d2 = np.asarray(d2phi(val), float)
-            return d1[..., None] * np.asarray(base_hwc(wp, v), float) + d2[..., None] * gw * gv[..., None]
-
-        def d2F_dcc(wp, v):
-            val = base_F(wp, v)
-            gv = np.asarray(base_gv(wp, v), float)
-            return dphi(val) * np.asarray(base_hcc(wp, v), float) + d2phi(val) * gv * gv
-
-        kwargs = dict(dF_dw=dF_dw, dF_dc=dF_dc, d2F_dww=d2F_dww, d2F_dwc=d2F_dwc, d2F_dcc=d2F_dcc)
-
-    return replace(
-        f,
-        name=name or f"composed({f.name})",
-        F=F,
-        **kwargs,
-    )
-
-
 def multiply_functions(f1: CylinderFunction, f2: CylinderFunction) -> CylinderFunction:
     """Pointwise product with Leibniz partials; projections must coincide."""
     if f1.projection != f2.projection:
         raise ValueError("product requires identical projections")
-    if f1.derivative_mode != "analytic" or f2.derivative_mode != "analytic":
-        raise ValueError("product combinator needs analytic partials on both factors")
 
     def F(wp, v):
         return f1.F(wp, v) * f2.F(wp, v)
@@ -443,7 +306,6 @@ def multiply_functions(f1: CylinderFunction, f2: CylinderFunction) -> CylinderFu
         projection=f1.projection,
         F=F,
         periodic=f1.periodic and f2.periodic,
-        derivative_mode="analytic",
         dF_dw=dF_dw,
         dF_dc=dF_dc,
         d2F_dww=d2F_dww,
@@ -471,6 +333,11 @@ def _zeros_scalar(wp, v):
     return np.zeros(np.broadcast(wp[..., 0], v).shape)
 
 
+def _zero_hess(wp, v):
+    k = wp.shape[-1]
+    return np.zeros(wp.shape + (k,))
+
+
 def _make_poly_radial(dim: int) -> CylinderFunction:
     proj = full_projection(dim)
 
@@ -494,10 +361,6 @@ def _make_poly_radial(dim: int) -> CylinderFunction:
 def _make_vertical_sq(dim: int) -> CylinderFunction:
     proj = Projection((1, 2))  # any even block works; F ignores wp
 
-    def zero_hess(wp, v):
-        k = wp.shape[-1]
-        return np.zeros(wp.shape + (k,))
-
     return CylinderFunction(
         name="vertical_sq",
         projection=proj,
@@ -505,7 +368,7 @@ def _make_vertical_sq(dim: int) -> CylinderFunction:
         periodic=False,
         dF_dw=lambda wp, v: _zeros_like_wp(wp),
         dF_dc=lambda wp, v: 2.0 * np.asarray(v, float),
-        d2F_dww=zero_hess,
+        d2F_dww=_zero_hess,
         d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
         d2F_dcc=lambda wp, v: np.full(np.shape(v), 2.0) if np.ndim(v) else 2.0,
     )
@@ -545,10 +408,6 @@ def _make_exp_linear(dim: int, lam: float = 0.5) -> CylinderFunction:
 def _make_cos_theta(dim: int) -> CylinderFunction:
     proj = Projection((1, 2))
 
-    def zero_hess(wp, v):
-        k = wp.shape[-1]
-        return np.zeros(wp.shape + (k,))
-
     return CylinderFunction(
         name="cos_theta",
         projection=proj,
@@ -556,7 +415,7 @@ def _make_cos_theta(dim: int) -> CylinderFunction:
         periodic=True,
         dF_dw=lambda wp, v: _zeros_like_wp(wp),
         dF_dc=lambda wp, v: -np.sin(np.asarray(v, float)),
-        d2F_dww=zero_hess,
+        d2F_dww=_zero_hess,
         d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
         d2F_dcc=lambda wp, v: -np.cos(np.asarray(v, float)),
     )

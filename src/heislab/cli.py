@@ -466,7 +466,8 @@ def _common(fn):
                       help="Path to a key = value config file.")(fn)
     fn = click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
                       help="Override one config key (repeatable; later wins).")(fn)
-    fn = click.option("--workers", type=int, default=1, show_default=True,
+    fn = click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+                      metavar="INTEGER",
                       help="Worker threads; results are identical for any count.")(fn)
     fn = click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False),
                       help="Output directory (default: <subcommand>-out).")(fn)

@@ -38,7 +38,6 @@ __all__ = [
     "EndpointBatch",
     "sample_unit_endpoints",
     "simulate_endpoint",
-    "mc_expect",
     "heat_equation_report",
     "HeatCheckReport",
     "levy_area_char_function",
@@ -155,6 +154,8 @@ def sample_unit_endpoints(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     dim = forms[0].dim
     for fm in forms:
         if fm.dim != dim:
@@ -163,7 +164,6 @@ def sample_unit_endpoints(
     w_hat = np.empty((m, dim))
     c_hats = [np.empty(m) for _ in forms]
 
-    workers = max(1, int(workers))
     if workers == 1 or m < 256:
         _fill_chunk(omegas, steps, base_seed, 0, m, w_hat, c_hats)
     else:
@@ -230,33 +230,6 @@ def _ensure_batch(
             raise ValueError("supplied batch has fewer samples than requested")
         return batch
     return sample_unit_endpoints([form], cfg.steps, cfg.base_seed, m, workers)[0]
-
-
-def mc_expect(
-    form: SymplecticForm,
-    cfg: PathConfig,
-    f: CylinderFunction,
-    m: int,
-    space: str = SPACE_FULL,
-    workers: int = 1,
-    batch: Optional[EndpointBatch] = None,
-) -> McEstimate:
-    """Monte-Carlo mean of f over heat-kernel samples at time cfg.t.
-
-    On the reduced group the vertical argument is wrapped before evaluation;
-    combined with the wrapped lift this makes reduced-vs-lifted runs agree
-    per sample, bit for bit.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if space not in _SPACES:
-        raise ValueError(f"unknown space {space!r}")
-    if space == SPACE_REDUCED and not f.periodic:
-        raise ValueError(f"{f.name}: reduced-group expectation needs a periodic function")
-    b = _ensure_batch(form, cfg, m, workers, batch)
-    vals = value_batch(f, b.w_at(cfg.t)[:m], b.vertical_at(cfg.t, space)[:m])
-    _require_finite(vals, f.name)
-    return _mc_from_values(vals)
 
 
 @dataclass(frozen=True)

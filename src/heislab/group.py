@@ -30,7 +30,6 @@ __all__ = [
     "wrap_angle",
     "angle_distance",
     "identity",
-    "reduced_identity",
     "multiply",
     "inverse",
     "multiply_reduced",
@@ -133,10 +132,6 @@ class LieVector:
 
 def identity(dim: int) -> GroupElement:
     return GroupElement(np.zeros(dim), 0.0)
-
-
-def reduced_identity(dim: int) -> ReducedElement:
-    return ReducedElement(np.zeros(dim), 0.0)
 
 
 def _check_dim(form: "SymplecticForm", *elements) -> None:

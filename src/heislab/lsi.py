@@ -33,6 +33,7 @@ from .diffusion import (
     EndpointBatch,
     McEstimate,
     PathConfig,
+    _ensure_batch,
     sample_unit_endpoints,
 )
 from .model import SymplecticForm, make_isotropic_form, make_nonisotropic_form
@@ -136,10 +137,7 @@ def _sides(
         raise ValueError("m must be >= 2")
     if space == SPACE_REDUCED and not f.periodic:
         raise ValueError(f"{f.name}: reduced-space functionals need a periodic function")
-    if batch is None:
-        batch = sample_unit_endpoints([form], cfg.steps, cfg.base_seed, m, workers)[0]
-    elif batch.m < m:
-        raise ValueError("supplied batch has fewer samples than requested")
+    batch = _ensure_batch(form, cfg, m, workers, batch)
     w = batch.w_at(cfg.t)[:m]
     v = batch.vertical_at(cfg.t, space)[:m]
     vals = value_batch(f, w, v)
@@ -393,8 +391,8 @@ class QuotientInvarianceReport:
     """Compares reduced-space evaluation with the lifted full-space one.
 
     Both paths wrap the vertical coordinate through the same function, so
-    values agree bit for bit; with analytic derivatives the gradients and
-    every downstream estimate inherit that exact equality.
+    values agree bit for bit; the exact partials make the gradients and
+    every downstream estimate inherit that equality.
     """
 
     f_name: str
@@ -436,10 +434,7 @@ def quotient_invariance_report(
     """Evaluate f on wrapped endpoints vs its lift on raw endpoints."""
     if not f.periodic:
         raise ValueError(f"{f.name}: quotient comparison needs a periodic function")
-    if batch is None:
-        batch = sample_unit_endpoints([form], cfg.steps, cfg.base_seed, m, workers)[0]
-    elif batch.m < m:
-        raise ValueError("supplied batch has fewer samples than requested")
+    batch = _ensure_batch(form, cfg, m, workers, batch)
     lifted = compose_with_quotient(f)
     w = batch.w_at(cfg.t)[:m]
     c = batch.c_at(cfg.t)[:m]

@@ -71,17 +71,6 @@ def zero_function(dim):
     )
 
 
-def numeric_twin(f):
-    """The same F evaluated with central differences instead of exact partials."""
-    return CylinderFunction(
-        name=f.name + "_numeric",
-        projection=f.projection,
-        F=f.F,
-        periodic=f.periodic,
-        derivative_mode="numeric",
-    )
-
-
 def random_orthogonal(rng, dim):
     """Haar-ish orthogonal matrix with a deterministic sign convention."""
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -101,8 +90,6 @@ def rotated_function(f, rotation):
     """
     if not f.projection.is_full(rotation.shape[0]):
         raise ValueError("basis rotation needs a full-projection function")
-    if f.derivative_mode != "analytic":
-        raise ValueError("basis rotation needs analytic partials")
     R = np.asarray(rotation, float)
 
     def to_old(wp):

@@ -1,6 +1,7 @@
 """Left-invariant calculus: derivatives, gradients, the generator, combinators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from heislab import (
     GroupElement,
     LieVector,
     Projection,
+    ReducedElement,
     REGISTRY_DEFAULT_SELECTION,
     SymplecticForm,
-    compose_scalar,
     compose_with_quotient,
     exp_group,
     grad_norm_sq,
@@ -29,7 +30,7 @@ from heislab import (
 )
 from heislab.calculus import grad_norm_sq_batch, sub_laplacian_batch, value_batch
 
-from helpers import exact_skew, numeric_twin, random_orthogonal, rotated_function
+from helpers import exact_skew, random_orthogonal, rotated_function
 
 
 def _point(rng, dim, c_scale=3.0):
@@ -56,7 +57,7 @@ class TestRegistry:
         for dim in (2, 8):
             for sel in REGISTRY_DEFAULT_SELECTION:
                 f = make_registry_function(sel, dim)
-                assert f.derivative_mode == "analytic"
+                assert int(f.projection.zero_based.max()) < dim
 
     def test_parameter_formatting(self):
         assert make_registry_function("gauss_bump(1.0)", 2).name == "gauss_bump(1)"
@@ -197,49 +198,6 @@ class TestDerivativeConsistency:
         assert grad_norm_sq(iso2, f, g) == pytest.approx(float(grad @ grad), rel=1e-14)
 
 
-class TestNumericMode:
-    def test_numeric_first_derivatives(self, iso2):
-        f = make_registry_function("gauss_bump(1.0)", 4)
-        twin = numeric_twin(f)
-        rng = np.random.default_rng(38)
-        wp = rng.standard_normal((6, 4))
-        v = rng.standard_normal(6)
-        gw_a, gv_a = f.first_derivs(wp, v)
-        gw_n, gv_n = twin.first_derivs(wp, v)
-        assert np.allclose(gw_n, gw_a, rtol=1e-7, atol=1e-8)
-        assert np.allclose(gv_n, gv_a, rtol=1e-7, atol=1e-8)
-
-    def test_numeric_second_derivatives(self, iso2):
-        f = make_registry_function("gauss_bump(1.0)", 4)
-        twin = numeric_twin(f)
-        rng = np.random.default_rng(39)
-        wp = rng.standard_normal((4, 4))
-        v = rng.standard_normal(4)
-        hww_a, hwc_a, hcc_a = f.second_derivs(wp, v)
-        hww_n, hwc_n, hcc_n = twin.second_derivs(wp, v)
-        assert np.allclose(hww_n, hww_a, rtol=1e-4, atol=1e-5)
-        assert np.allclose(hwc_n, hwc_a, rtol=1e-4, atol=1e-5)
-        assert np.allclose(hcc_n, hcc_a, rtol=1e-4, atol=1e-5)
-
-    def test_numeric_evaluation_leaves_inputs_untouched(self):
-        f = numeric_twin(make_registry_function("gauss_bump(1.0)", 2))
-        wp = np.array([[0.3, -0.7]])
-        v = np.array([0.2])
-        wp_copy, v_copy = wp.copy(), v.copy()
-        f.first_derivs(wp, v)
-        f.second_derivs(wp, v)
-        assert np.array_equal(wp, wp_copy) and np.array_equal(v, v_copy)
-
-    def test_analytic_mode_requires_partials(self):
-        f = CylinderFunction(
-            name="half-built",
-            projection=Projection((1, 2)),
-            F=lambda wp, v: wp[..., 0],
-        )
-        with pytest.raises(ValueError):
-            f.first_derivs(np.zeros((1, 2)), np.zeros(1))
-
-
 class TestBatchedEvaluation:
     @pytest.mark.parametrize("selector", list(REGISTRY_DEFAULT_SELECTION))
     def test_batched_matches_pointwise(self, iso2, selector):
@@ -319,42 +277,6 @@ class TestCombinators:
         with pytest.raises(ValueError):
             multiply_functions(f1, f2)
 
-    def test_product_requires_analytic_mode(self):
-        f = make_registry_function("poly_radial", 2)
-        with pytest.raises(ValueError):
-            multiply_functions(f, numeric_twin(f))
-
-    def test_chain_rule_contraction(self, iso2):
-        f = make_registry_function("poly_radial", 4)
-        smooth = compose_scalar(np.tanh, lambda x: 1.0 / np.cosh(x) ** 2,
-                                lambda x: -2.0 * np.tanh(x) / np.cosh(x) ** 2, f,
-                                name="tanh(poly_radial)")
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            g = _point(rng, 4)
-            assert grad_norm_sq(iso2, smooth, g) <= grad_norm_sq(iso2, f, g) * (1 + 1e-12)
-
-    def test_chain_rule_matches_numeric(self, iso1):
-        f = make_registry_function("exp_linear(0.5)", 2)
-        smooth = compose_scalar(np.tanh, lambda x: 1.0 / np.cosh(x) ** 2,
-                                lambda x: -2.0 * np.tanh(x) / np.cosh(x) ** 2, f)
-        twin = numeric_twin(smooth)
-        rng = np.random.default_rng(44)
-        g = _point(rng, 2)
-        assert sub_laplacian(iso1, smooth, g) == pytest.approx(
-            sub_laplacian(iso1, twin, g), rel=1e-4, abs=1e-5
-        )
-
-    def test_compose_scalar_validation(self):
-        f = make_registry_function("poly_radial", 2)
-        with pytest.raises(ValueError):
-            compose_scalar(np.tanh, None, None, f)
-        numeric = compose_scalar(np.tanh, None, None, numeric_twin(f))
-        assert numeric.derivative_mode == "numeric"
-        assert float(numeric.value(np.array([1.0, 2.0]), 0.0)) == pytest.approx(
-            math.tanh(5.0), rel=1e-14
-        )
-
 
 class TestQuotientComposition:
     def test_rejects_aperiodic(self):
@@ -363,14 +285,9 @@ class TestQuotientComposition:
                 compose_with_quotient(make_registry_function(sel, 2))
 
     def test_periodicity_probe_rejects_lies(self):
+        honest = make_registry_function("cos_theta", 2)
         with pytest.raises(ValueError):
-            CylinderFunction(
-                name="liar",
-                projection=Projection((1, 2)),
-                F=lambda wp, v: np.asarray(v, float) * 1.0,
-                periodic=True,
-                derivative_mode="numeric",
-            )
+            replace(honest, name="liar", F=lambda wp, v: np.asarray(v, float) * 1.0)
 
     def test_pointwise_identity_is_bitwise(self, iso1):
         f = make_registry_function("cos_theta", 2)
@@ -419,3 +336,28 @@ class TestCompatibilityChecks:
         g = GroupElement([1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
             left_invariant_derivative(iso1, f, LieVector(np.zeros(4), 0.0), g)
+
+    def test_partials_are_required(self):
+        with pytest.raises(TypeError):
+            CylinderFunction(
+                name="half-built",
+                projection=Projection((1, 2)),
+                F=lambda wp, v: wp[..., 0],
+            )
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda form, f, g: left_invariant_derivative(form, f, LieVector([1.0, -1.0], 0.5), g),
+            lambda form, f, g: second_invariant_derivative(form, f, LieVector([1.0, -1.0], 0.5), g),
+            horizontal_gradient,
+            grad_norm_sq,
+            sub_laplacian,
+        ],
+        ids=["left_invariant", "second_invariant", "gradient", "grad_norm_sq", "sub_laplacian"],
+    )
+    def test_reduced_group_needs_periodic_function(self, iso1, op):
+        f = make_registry_function("vertical_sq", 2)
+        op(iso1, f, GroupElement([0.3, 0.4], 6.0))
+        with pytest.raises(ValueError):
+            op(iso1, f, ReducedElement([0.3, 0.4], 6.0))

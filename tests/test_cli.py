@@ -155,6 +155,14 @@ class TestExitCodes:
         assert res.exit_code == 2
         assert "config error" in res.stderr and "unknown key" in res.stderr
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_two(self, runner, tmp_path, workers):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["simulate", *FAST, "--workers", workers, "--out", str(out)])
+        assert res.exit_code == 2
+        assert "--workers" in res.stderr
+        assert not out.exists()
+
     def test_missing_config_file_exits_two(self, runner):
         res = runner.invoke(main, ["simulate", "--config", "no/such/file.cfg"])
         assert res.exit_code == 2

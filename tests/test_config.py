@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislab import (
     ConfigError,
@@ -185,6 +187,77 @@ class TestCanonicalText:
     def test_float_echo_is_exact(self):
         cfg = parse_config("t = 0.30000000000000004")
         assert "t = 0.30000000000000004" in canonical_text(cfg)
+
+
+def _text_list(elements, min_size=1):
+    return st.lists(elements, min_size=min_size, max_size=4).map(", ".join)
+
+
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_POSITIVE = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
+    st.integers(1, 10 ** 6).map(str),
+)
+_WEIGHT = st.floats(min_value=0.01, max_value=100.0).map(repr)
+_SELECTOR = st.sampled_from(
+    ["poly_radial", "vertical_sq", "cos_theta", "exp_linear", "exp_linear(2)",
+     "gauss_bump(1.0)", "gauss_bump( 0.25 )"]
+)
+# every key but form, weights, n and projection, which must agree with each other
+_VALUES = {
+    "t": _text_list(_POSITIVE),
+    "N": st.integers(1, 10 ** 6).map(str),
+    "m": st.integers(2, 10 ** 9).map(str),
+    "seed": st.integers(0, 2 ** 64 - 1).map(str),
+    "f": _text_list(_SELECTOR, min_size=0),
+    "c_ref": _POSITIVE,
+    "space": st.sampled_from(["G", "Gtilde"]),
+    "out": st.text("abc_-./0123456789", max_size=8),
+    "delta_t": _POSITIVE,
+    "K": st.integers(2, 1000).map(str),
+    "k_window": st.integers(0, 10).map(str),
+    "lambdas": _text_list(_FLOAT),
+    "dims": _text_list(st.integers(1, 64).map(str)),
+    "scan_forms": _text_list(st.sampled_from(["isotropic", "ascending_weights"])),
+    "target_w": _text_list(_FLOAT),
+    "target_c": _FLOAT,
+}
+
+
+@st.composite
+def _documents(draw):
+    """A valid configuration document: a consistent form block plus any
+    subset of the other keys, in any order."""
+    lines = []
+    form = draw(st.sampled_from(["", "isotropic", "nonisotropic", "trace_class"]))
+    if form:
+        lines.append(f"form = {form}")
+    if form in ("nonisotropic", "trace_class"):
+        weights = draw(st.lists(_WEIGHT, min_size=1, max_size=4))
+        lines.append("weights = " + ", ".join(weights))
+        n = len(weights)
+        if draw(st.booleans()):
+            lines.append(f"n = {n}")
+    else:
+        n = draw(st.integers(1, 4))
+        lines.append(f"n = {n}")
+    full = ", ".join(str(i) for i in range(1, 2 * n + 1))
+    projection = draw(st.sampled_from([None, "", "1, 2", full]))
+    if projection is not None:
+        lines.append(f"projection = {projection}")
+    for key in draw(st.lists(st.sampled_from(sorted(_VALUES)), unique=True)):
+        lines.append(f"{key} = {draw(_VALUES[key])}")
+    return "\n".join(draw(st.permutations(lines)))
+
+
+class TestCanonicalTextProperty:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_documents())
+    def test_canonical_text_parses_back_to_the_same_config(self, doc):
+        cfg = parse_config(doc)
+        text = canonical_text(cfg)
+        assert parse_config(text) == cfg
+        assert canonical_text(parse_config(text)) == text
 
 
 class TestFormatValue:

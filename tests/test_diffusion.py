@@ -17,15 +17,12 @@ from heislab import (
     make_isotropic_form,
     make_nonisotropic_form,
     make_registry_function,
-    mc_expect,
     quotient,
     sample_unit_endpoints,
     simulate_endpoint,
     wrap_angle,
 )
 from heislab.diffusion import EndpointSample, McEstimate
-
-from helpers import constant_function, linear_coordinate
 
 
 class TestValidation:
@@ -54,6 +51,9 @@ class TestValidation:
             sample_unit_endpoints([iso1], steps=100, base_seed=1, m=0)
         with pytest.raises(ValueError):
             sample_unit_endpoints([iso1, iso2], steps=100, base_seed=1, m=4)
+        for workers in (0, -1):
+            with pytest.raises(ValueError):
+                sample_unit_endpoints([iso1], steps=100, base_seed=1, m=4, workers=workers)
 
     def test_vertical_space_names(self, iso1):
         b = sample_unit_endpoints([iso1], steps=16, base_seed=3, m=4)[0]
@@ -150,55 +150,6 @@ class TestMomentIdentities:
         assert mom_all["hnorm_sq"].m == batch_iso1.m
 
 
-class TestMcExpect:
-    def test_constant_function_is_exact(self, iso1, batch_iso1):
-        est = mc_expect(iso1, PathConfig(t=1.0, steps=400, base_seed=42),
-                        constant_function(2, 3.5), m=1000, batch=batch_iso1)
-        assert est.mean == 3.5 and est.std_error == 0.0 and est.m == 1000
-
-    def test_matches_manual_average(self, iso1, batch_iso1):
-        f = linear_coordinate(2, axis=0)
-        cfg = PathConfig(t=2.0, steps=400, base_seed=42)
-        est = mc_expect(iso1, cfg, f, m=750, batch=batch_iso1)
-        vals = batch_iso1.w_at(2.0)[:750, 0]
-        assert est.mean == float(np.mean(vals))
-        assert est.std_error == float(np.std(vals, ddof=1) / math.sqrt(750))
-
-    def test_reduced_space_wraps_vertical(self, iso1, batch_iso1):
-        f = make_registry_function("cos_theta", 2)
-        cfg = PathConfig(t=1.0, steps=400, base_seed=42)
-        est = mc_expect(iso1, cfg, f, m=500, space=SPACE_REDUCED, batch=batch_iso1)
-        manual = float(np.mean(np.cos(batch_iso1.theta_at(1.0)[:500])))
-        assert est.mean == manual
-
-    def test_rejects_bad_requests(self, iso1, batch_iso1):
-        cfg = PathConfig(t=1.0, steps=400, base_seed=42)
-        f = make_registry_function("poly_radial", 2)
-        with pytest.raises(ValueError):
-            mc_expect(iso1, cfg, f, m=1)
-        with pytest.raises(ValueError):
-            mc_expect(iso1, cfg, f, m=10, space="nope")
-        with pytest.raises(ValueError):
-            mc_expect(iso1, cfg, make_registry_function("vertical_sq", 2),
-                      m=10, space=SPACE_REDUCED)
-        with pytest.raises(ValueError):
-            mc_expect(iso1, cfg, f, m=batch_iso1.m + 1, batch=batch_iso1)
-
-    def test_non_integrable_observable_raises(self, iso1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = make_registry_function("exp_linear(1000)", 2)
-            cfg = PathConfig(t=1.0, steps=16, base_seed=42)
-            with pytest.raises(RuntimeError):
-                mc_expect(iso1, cfg, f, m=200)
-
-    def test_small_time_collapses_to_value_at_identity(self, iso1):
-        f = make_registry_function("gauss_bump(1.0)", 2)
-        t = 1e-4
-        est = mc_expect(iso1, PathConfig(t=t, steps=50, base_seed=21), f, m=4000)
-        # E[f] -> f(identity) = 1 with O(t) defect
-        assert abs(est.mean - 1.0) <= 3.0 * est.std_error + 2.0 * t
-
-
 class TestHeatEquation:
     def test_delta_t_validation(self, iso1, batch_iso1):
         cfg = PathConfig(t=1.0, steps=400, base_seed=42)
@@ -217,6 +168,14 @@ class TestHeatEquation:
         assert rep.residual == pytest.approx(
             abs(rep.ddt.mean - rep.half_generator.mean), rel=1e-9, abs=1e-12
         )
+
+    def test_non_integrable_observable_raises(self, iso1):
+        # no batch given: the report samples its own, then rejects the overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = make_registry_function("exp_linear(1000)", 2)
+            cfg = PathConfig(t=1.0, steps=16, base_seed=42)
+            with pytest.raises(RuntimeError):
+                heat_equation_report(iso1, cfg, f, m=200, delta_t=0.05)
 
     def test_coarse_difference_breaks_for_curved_profile(self, iso1, batch_iso1):
         # gauss_bump has genuine curvature in t; a huge delta_t must show it

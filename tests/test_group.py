@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislab import (
     TWO_PI,
     GroupElement,
     LieVector,
     ReducedElement,
+    SymplecticForm,
     bracket,
     exp_group,
     identity,
@@ -17,10 +20,11 @@ from heislab import (
     multiply,
     multiply_reduced,
     quotient,
-    reduced_identity,
     wrap_angle,
 )
 from heislab.group import angle_distance
+
+from helpers import exact_skew
 
 
 class TestWrapAngle:
@@ -88,8 +92,6 @@ class TestElements:
     def test_identities(self):
         e = identity(4)
         assert np.array_equal(e.w, np.zeros(4)) and e.c == 0.0
-        er = reduced_identity(2)
-        assert np.array_equal(er.w, np.zeros(2)) and er.theta == 0.0
 
     def test_dim_property(self):
         assert GroupElement([1.0, 2.0], 0.0).dim == 2
@@ -148,6 +150,44 @@ class TestGroupLaws:
         a = multiply(iso1, g1, g2)
         b = multiply(iso1, g2, g1)
         assert a.c - b.c == iso1.pair(g1.w, g2.w) == 1.0
+
+
+_COORD = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def _form_and_elements(draw):
+    """A random exact-skew form on R^2n and three elements of its group."""
+    dim = 2 * draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    form = SymplecticForm(exact_skew(np.random.default_rng(seed).standard_normal((dim, dim))))
+    coords = st.lists(_COORD, min_size=dim, max_size=dim)
+    return form, [GroupElement(draw(coords), draw(_COORD)) for _ in range(3)]
+
+
+def _size(form, elements):
+    """Bound on every term of the products: |c| plus the largest pairing."""
+    w1 = sum(float(np.abs(g.w).sum()) for g in elements)
+    return 1.0 + sum(abs(g.c) for g in elements) + float(np.abs(form.omega).max()) * w1 * w1
+
+
+class TestGroupLawProperties:
+    """Group laws on random exact-skew forms, to 1e-12 relative."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_form_and_elements())
+    def test_laws(self, case):
+        form, (g1, g2, g3) = case
+        tol = 1e-12 * _size(form, (g1, g2, g3))
+        left = multiply(form, multiply(form, g1, g2), g3)
+        right = multiply(form, g1, multiply(form, g2, g3))
+        assert np.max(np.abs(left.w - right.w)) <= tol and abs(left.c - right.c) <= tol
+        prod = multiply(form, g1, inverse(form, g1))
+        assert np.array_equal(prod.w, np.zeros(form.dim)) and abs(prod.c) <= tol
+        via_full = quotient(multiply(form, g1, g2))
+        via_reduced = multiply_reduced(form, quotient(g1), quotient(g2))
+        assert np.array_equal(via_full.w, via_reduced.w)
+        assert angle_distance(via_full.theta, via_reduced.theta) <= tol
 
 
 class TestQuotient:

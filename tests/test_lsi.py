@@ -255,3 +255,15 @@ class TestQuotientInvariance:
         f = make_registry_function("cos_theta", 2)
         with pytest.raises(ValueError):
             quotient_invariance_report(iso1, CFG, f, m=batch_iso1.m + 1, batch=batch_iso1)
+
+    def test_small_time_collapses_to_value_at_identity(self, iso1):
+        f = make_registry_function("exp_linear(0.5)", 2)
+        t = 1e-4
+        cfg = PathConfig(t=t, steps=50, base_seed=21)
+        rep = quotient_invariance_report(iso1, cfg, f, m=4000)
+        # without a batch the report samples the same endpoints a caller would
+        batch = sample_unit_endpoints([iso1], steps=50, base_seed=21, m=4000)[0]
+        assert rep == quotient_invariance_report(iso1, cfg, f, m=4000, batch=batch)
+        # E[f] -> f(identity) = 1 with O(t) defect
+        se = math.sqrt(max(rep.l2_reduced - rep.mean_reduced ** 2, 0.0) / rep.m)
+        assert abs(rep.mean_reduced - 1.0) <= 3.0 * se + 2.0 * t
