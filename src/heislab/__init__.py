@@ -36,7 +36,6 @@ from .group import (
 from .calculus import (
     CylinderFunction,
     left_invariant_derivative,
-    second_invariant_derivative,
     horizontal_gradient,
     grad_norm_sq,
     sub_laplacian,
@@ -107,7 +106,7 @@ __all__ = [
     "exp_group", "bracket", "wrap_angle", "angle_distance",
     # calculus
     "CylinderFunction", "left_invariant_derivative",
-    "second_invariant_derivative", "horizontal_gradient", "grad_norm_sq",
+    "horizontal_gradient", "grad_norm_sq",
     "sub_laplacian", "compose_with_quotient",
     "multiply_functions", "registry_names", "make_registry_function",
     "REGISTRY_DEFAULT_SELECTION",

@@ -31,7 +31,6 @@ from .model import Projection, SymplecticForm, full_projection
 __all__ = [
     "CylinderFunction",
     "left_invariant_derivative",
-    "second_invariant_derivative",
     "horizontal_gradient",
     "grad_norm_sq",
     "sub_laplacian",
@@ -54,7 +53,9 @@ class CylinderFunction:
     F and the five partials must be vectorized: wp has shape (..., 2m) (the
     projected coordinates in index order), v has shape (...), and every
     callable returns arrays with matching leading axes: dF_dw (..., 2m),
-    dF_dc (...), d2F_dww (..., 2m, 2m), d2F_dwc (..., 2m), d2F_dcc (...).
+    dF_dc (...), lap_w (...), d2F_dwc (..., 2m), d2F_dcc (...).  lap_w is the
+    flat Laplacian sum_i d2F/dw_i2, the only part of the flat Hessian that
+    the sub-Laplacian reads.
 
     periodic=True declares 2*pi-periodicity in the vertical argument (checked
     at construction on a probe grid); only periodic functions may be read on
@@ -66,7 +67,7 @@ class CylinderFunction:
     F: Callable
     dF_dw: Callable
     dF_dc: Callable
-    d2F_dww: Callable
+    lap_w: Callable
     d2F_dwc: Callable
     d2F_dcc: Callable
     periodic: bool = False
@@ -97,11 +98,11 @@ class CylinderFunction:
         return np.asarray(self.dF_dw(wp, v), float), np.asarray(self.dF_dc(wp, v), float)
 
     def second_derivs(self, wp, v):
-        """(d2F/dww (..., 2m, 2m), d2F/dwc (..., 2m), d2F/dcc (...))."""
+        """(sum_i d2F/dw_i2 (...), d2F/dwc (..., 2m), d2F/dcc (...))."""
         wp = np.asarray(wp, float)
         v = np.asarray(v, float)
         return (
-            np.asarray(self.d2F_dww(wp, v), float),
+            np.asarray(self.lap_w(wp, v), float),
             np.asarray(self.d2F_dwc(wp, v), float),
             np.asarray(self.d2F_dcc(wp, v), float),
         )
@@ -145,23 +146,6 @@ def left_invariant_derivative(
     return float(np.dot(gw, X.A[ix]) + rate * gv)
 
 
-def second_invariant_derivative(
-    form: SymplecticForm, f: CylinderFunction, X: LieVector, g
-) -> float:
-    """(d/dt)^2|_0 f(g * exp(t X)).
-
-    The curve t -> g * exp(tX) is affine in coordinates with vertical rate
-    r = a + 0.5*omega(w, A), so the value is
-    A^T Hww A + 2 r A^T Hwc + r^2 Hcc over the embedded Hessian.
-    """
-    ix = _check_compat(form, f, g)
-    v = _vertical_of(f, g)
-    hww, hwc, hcc = f.second_derivs(g.w[ix], v)
-    Ap = X.A[ix]
-    r = X.a + 0.5 * form.pair(g.w, X.A)
-    return float(Ap @ hww @ Ap + 2.0 * r * np.dot(Ap, hwc) + r * r * hcc)
-
-
 def horizontal_gradient(form: SymplecticForm, f: CylinderFunction, g) -> np.ndarray:
     """Vector of length 2n with entries (e_j,0)~ f at g."""
     ix = _check_compat(form, f, g)
@@ -182,10 +166,10 @@ def sub_laplacian(form: SymplecticForm, f: CylinderFunction, g) -> float:
     """Sum over the 2n basis directions of the squared horizontal fields."""
     ix = _check_compat(form, f, g)
     v = _vertical_of(f, g)
-    hww, hwc, hcc = f.second_derivs(g.w[ix], v)
+    lap, hwc, hcc = f.second_derivs(g.w[ix], v)
     u = form.pair_with_basis(g.w)
     return float(
-        np.trace(hww) + np.dot(u[ix], hwc) + 0.25 * np.dot(u, u) * hcc
+        lap + np.dot(u[ix], hwc) + 0.25 * np.dot(u, u) * hcc
     )
 
 
@@ -219,11 +203,10 @@ def sub_laplacian_batch(
     form: SymplecticForm, f: CylinderFunction, w: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     ix = f.projection.zero_based
-    hww, hwc, hcc = f.second_derivs(w[:, ix], v)
+    lap, hwc, hcc = f.second_derivs(w[:, ix], v)
     u = form.pair_with_basis(w)
     up = u[:, ix]
-    tr = np.trace(hww, axis1=-2, axis2=-1)
-    return tr + np.einsum("ij,ij->i", up, hwc) + 0.25 * np.einsum("ij,ij->i", u, u) * hcc
+    return lap + np.einsum("ij,ij->i", up, hwc) + 0.25 * np.einsum("ij,ij->i", u, u) * hcc
 
 
 # -- combinators ------------------------------------------------------------
@@ -248,7 +231,7 @@ def compose_with_quotient(f: CylinderFunction) -> CylinderFunction:
         F=lift(f.F),
         dF_dw=lift(f.dF_dw),
         dF_dc=lift(f.dF_dc),
-        d2F_dww=lift(f.d2F_dww),
+        lap_w=lift(f.lap_w),
         d2F_dwc=lift(f.d2F_dwc),
         d2F_dcc=lift(f.d2F_dcc),
         periodic=True,
@@ -272,15 +255,13 @@ def multiply_functions(f1: CylinderFunction, f2: CylinderFunction) -> CylinderFu
     def dF_dc(wp, v):
         return f1.dF_dc(wp, v) * f2.F(wp, v) + f1.F(wp, v) * f2.dF_dc(wp, v)
 
-    def d2F_dww(wp, v):
+    def lap_w(wp, v):
         a, b = np.asarray(f1.F(wp, v), float), np.asarray(f2.F(wp, v), float)
         ga, gb = np.asarray(f1.dF_dw(wp, v), float), np.asarray(f2.dF_dw(wp, v), float)
-        cross = ga[..., :, None] * gb[..., None, :]
         return (
-            np.asarray(f1.d2F_dww(wp, v), float) * b[..., None, None]
-            + cross
-            + np.swapaxes(cross, -1, -2)
-            + a[..., None, None] * np.asarray(f2.d2F_dww(wp, v), float)
+            np.asarray(f1.lap_w(wp, v), float) * b
+            + 2.0 * np.einsum("...i,...i->...", ga, gb)
+            + a * np.asarray(f2.lap_w(wp, v), float)
         )
 
     def d2F_dwc(wp, v):
@@ -308,7 +289,7 @@ def multiply_functions(f1: CylinderFunction, f2: CylinderFunction) -> CylinderFu
         periodic=f1.periodic and f2.periodic,
         dF_dw=dF_dw,
         dF_dc=dF_dc,
-        d2F_dww=d2F_dww,
+        lap_w=lap_w,
         d2F_dwc=d2F_dwc,
         d2F_dcc=d2F_dcc,
     )
@@ -333,17 +314,8 @@ def _zeros_scalar(wp, v):
     return np.zeros(np.broadcast(wp[..., 0], v).shape)
 
 
-def _zero_hess(wp, v):
-    k = wp.shape[-1]
-    return np.zeros(wp.shape + (k,))
-
-
 def _make_poly_radial(dim: int) -> CylinderFunction:
     proj = full_projection(dim)
-
-    def hess(wp, v):
-        eye = 2.0 * np.eye(wp.shape[-1])
-        return np.broadcast_to(eye, wp.shape + (wp.shape[-1],)).copy()
 
     return CylinderFunction(
         name="poly_radial",
@@ -352,7 +324,7 @@ def _make_poly_radial(dim: int) -> CylinderFunction:
         periodic=True,  # no vertical dependence
         dF_dw=lambda wp, v: 2.0 * wp,
         dF_dc=_zeros_scalar,
-        d2F_dww=hess,
+        lap_w=lambda wp, v: np.full(wp.shape[:-1], 2.0 * wp.shape[-1]),
         d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
         d2F_dcc=_zeros_scalar,
     )
@@ -368,7 +340,7 @@ def _make_vertical_sq(dim: int) -> CylinderFunction:
         periodic=False,
         dF_dw=lambda wp, v: _zeros_like_wp(wp),
         dF_dc=lambda wp, v: 2.0 * np.asarray(v, float),
-        d2F_dww=_zero_hess,
+        lap_w=_zeros_scalar,
         d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
         d2F_dcc=lambda wp, v: np.full(np.shape(v), 2.0) if np.ndim(v) else 2.0,
     )
@@ -386,12 +358,6 @@ def _make_exp_linear(dim: int, lam: float = 0.5) -> CylinderFunction:
         out[..., 0] = lam * F(wp, v)
         return out
 
-    def d2F_dww(wp, v):
-        k = wp.shape[-1]
-        out = np.zeros(wp.shape + (k,))
-        out[..., 0, 0] = lam * lam * F(wp, v)
-        return out
-
     return CylinderFunction(
         name=f"exp_linear({lam:g})",
         projection=proj,
@@ -399,7 +365,7 @@ def _make_exp_linear(dim: int, lam: float = 0.5) -> CylinderFunction:
         periodic=True,
         dF_dw=dF_dw,
         dF_dc=_zeros_scalar,
-        d2F_dww=d2F_dww,
+        lap_w=lambda wp, v: lam * lam * F(wp, v),
         d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
         d2F_dcc=_zeros_scalar,
     )
@@ -415,7 +381,7 @@ def _make_cos_theta(dim: int) -> CylinderFunction:
         periodic=True,
         dF_dw=lambda wp, v: _zeros_like_wp(wp),
         dF_dc=lambda wp, v: -np.sin(np.asarray(v, float)),
-        d2F_dww=_zero_hess,
+        lap_w=_zeros_scalar,
         d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
         d2F_dcc=lambda wp, v: -np.cos(np.asarray(v, float)),
     )
@@ -438,11 +404,9 @@ def _make_gauss_bump(dim: int, sigma: float = 1.0) -> CylinderFunction:
     def dF_dc(wp, v):
         return -(np.asarray(v, float) / s2) * F(wp, v)
 
-    def d2F_dww(wp, v):
-        k = wp.shape[-1]
-        f = F(wp, v)
-        outer = wp[..., :, None] * wp[..., None, :] / (s2 * s2)
-        return (outer - np.eye(k) / s2) * f[..., None, None]
+    def lap_w(wp, v):
+        # term by term: the closed form (|wp|^2/s2^2 - k/s2) F rounds differently
+        return ((wp * wp / (s2 * s2) - 1.0 / s2) * F(wp, v)[..., None]).sum(-1)
 
     def d2F_dwc(wp, v):
         return (wp * np.asarray(v, float)[..., None] / (s2 * s2)) * F(wp, v)[..., None]
@@ -458,7 +422,7 @@ def _make_gauss_bump(dim: int, sigma: float = 1.0) -> CylinderFunction:
         periodic=False,
         dF_dw=dF_dw,
         dF_dc=dF_dc,
-        d2F_dww=d2F_dww,
+        lap_w=lap_w,
         d2F_dwc=d2F_dwc,
         d2F_dcc=d2F_dcc,
     )
@@ -496,6 +460,8 @@ def make_registry_function(selector: str, dim: int) -> CylinderFunction:
                 args = tuple(float(tok) for tok in inner.split(","))
             except ValueError:
                 raise ValueError(f"malformed parameters in selector: {selector!r}") from None
+            if not all(math.isfinite(a) for a in args):
+                raise ValueError(f"non-finite parameter in selector: {selector!r}")
     if sel not in _REGISTRY:
         raise ValueError(f"unknown function {sel!r}; known: {', '.join(registry_names())}")
     factory, nargs = _REGISTRY[sel]

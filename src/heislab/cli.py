@@ -6,7 +6,7 @@ summary bodies are byte-identical across reruns with the same config;
 wall-clock information lives only in the manifest.  Each artifact is
 renamed into place whole, and the manifest, written last, marks a complete
 run.  Exit codes: 0 success, 1 when at least one emitted row has
-pass=false, 2 on configuration errors or an unwritable output.
+pass=false, 2 on configuration errors, non-finite samples or output errors.
 """
 
 from __future__ import annotations
@@ -381,6 +381,9 @@ def run(
     except ConfigError as exc:
         for msg in exc.errors:
             click.echo(f"config error: {msg}", err=True)
+        return 2
+    except RuntimeError as exc:  # an estimator met non-finite samples
+        click.echo(f"error: {subcommand}: {exc}", err=True)
         return 2
 
     out_dir = out or cfg.out or f"{subcommand}-out"

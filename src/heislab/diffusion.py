@@ -263,11 +263,11 @@ def heat_equation_report(
     t0, tp, tm = cfg.t, cfg.t + delta_t, cfg.t - delta_t
     f_plus = value_batch(f, b.w_at(tp)[:m], b.c_at(tp)[:m])
     f_minus = value_batch(f, b.w_at(tm)[:m], b.c_at(tm)[:m])
-    _require_finite(f_plus, f.name)
-    _require_finite(f_minus, f.name)
+    _require_finite(f_plus, f"{f.name} at t = {cfg.t:g}")
+    _require_finite(f_minus, f"{f.name} at t = {cfg.t:g}")
     ddt_vals = (f_plus - f_minus) / (2.0 * delta_t)
     lap_vals = sub_laplacian_batch(form, f, b.w_at(t0)[:m], b.c_at(t0)[:m])
-    _require_finite(lap_vals, f"L_H {f.name}")
+    _require_finite(lap_vals, f"L_H {f.name} at t = {cfg.t:g}")
     diff = ddt_vals - 0.5 * lap_vals
     est = _mc_from_values(diff)
     return HeatCheckReport(

@@ -13,11 +13,6 @@ def _zeros_scalar(wp, v):
     return np.zeros(np.broadcast(wp[..., 0], v).shape)
 
 
-def _zero_hess(wp, v):
-    k = wp.shape[-1]
-    return np.zeros(wp.shape + (k,))
-
-
 def constant_function(dim, value=1.0):
     """f(g) = value everywhere, with exact (zero) partials."""
     value = float(value)
@@ -28,7 +23,7 @@ def constant_function(dim, value=1.0):
         periodic=True,
         dF_dw=lambda wp, v: _zeros_like_wp(wp),
         dF_dc=_zeros_scalar,
-        d2F_dww=_zero_hess,
+        lap_w=_zeros_scalar,
         d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
         d2F_dcc=_zeros_scalar,
     )
@@ -49,7 +44,7 @@ def linear_coordinate(dim, axis=0):
         periodic=True,
         dF_dw=dF_dw,
         dF_dc=_zeros_scalar,
-        d2F_dww=_zero_hess,
+        lap_w=_zeros_scalar,
         d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
         d2F_dcc=_zeros_scalar,
     )
@@ -65,7 +60,7 @@ def zero_function(dim):
         periodic=True,
         dF_dw=lambda wp, v: _zeros_like_wp(wp),
         dF_dc=_zeros_scalar,
-        d2F_dww=_zero_hess,
+        lap_w=_zeros_scalar,
         d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
         d2F_dcc=_zeros_scalar,
     )
@@ -102,9 +97,8 @@ def rotated_function(f, rotation):
         periodic=f.periodic,
         dF_dw=lambda wp, v: np.asarray(f.dF_dw(to_old(wp), v), float) @ R,
         dF_dc=lambda wp, v: f.dF_dc(to_old(wp), v),
-        d2F_dww=lambda wp, v: np.einsum(
-            "ki,...kl,lj->...ij", R, np.asarray(f.d2F_dww(to_old(wp), v), float), R
-        ),
+        # the flat Laplacian commutes with orthogonal changes of variables
+        lap_w=lambda wp, v: f.lap_w(to_old(wp), v),
         d2F_dwc=lambda wp, v: np.asarray(f.d2F_dwc(to_old(wp), v), float) @ R,
         d2F_dcc=lambda wp, v: f.d2F_dcc(to_old(wp), v),
     )

@@ -25,7 +25,6 @@ from heislab import (
     multiply_functions,
     quotient,
     registry_names,
-    second_invariant_derivative,
     sub_laplacian,
 )
 from heislab.calculus import grad_norm_sq_batch, sub_laplacian_batch, value_batch
@@ -40,6 +39,19 @@ def _point(rng, dim, c_scale=3.0):
 def _shifted(form, g, X, h):
     """The curve point g * exp(h X), evaluated through the group law."""
     return multiply(form, g, exp_group(LieVector(h * X.A, h * X.a)))
+
+
+# the default registry plus one function built by each combinator
+ORACLE_FUNCTIONS = {
+    **{
+        sel: (lambda dim, sel=sel: make_registry_function(sel, dim))
+        for sel in REGISTRY_DEFAULT_SELECTION
+    },
+    "poly_radial*gauss_bump(1.0)": lambda dim: multiply_functions(
+        make_registry_function("poly_radial", dim), make_registry_function("gauss_bump(1.0)", dim)
+    ),
+    "cos_theta_lifted": lambda dim: compose_with_quotient(make_registry_function("cos_theta", dim)),
+}
 
 
 class TestRegistry:
@@ -66,7 +78,10 @@ class TestRegistry:
 
     @pytest.mark.parametrize(
         "selector",
-        ["nope", "exp_linear(", "exp_linear(a)", "cos_theta(1)", "gauss_bump(1,2)"],
+        [
+            "nope", "exp_linear(", "exp_linear(a)", "cos_theta(1)", "gauss_bump(1,2)",
+            "gauss_bump(inf)", "gauss_bump(nan)", "exp_linear(inf)", "exp_linear(nan)",
+        ],
     )
     def test_bad_selectors(self, selector):
         with pytest.raises(ValueError):
@@ -151,22 +166,45 @@ class TestDerivativeConsistency:
             ) / (2.0 * h)
             assert exact == pytest.approx(numeric, rel=1e-6, abs=1e-7)
 
-    @pytest.mark.parametrize("selector", list(REGISTRY_DEFAULT_SELECTION))
-    def test_second_derivative_matches_curve_difference(self, iso2, selector):
-        f = make_registry_function(selector, 4)
+    @pytest.mark.parametrize("case", list(ORACLE_FUNCTIONS))
+    def test_second_derivative_matches_curve_difference(self, iso2, case):
+        # the sub-Laplacian L_H = sum_j X~_j^2, each squared field a second
+        # difference of f.value along the curve g * exp(h e_j)
+        f = ORACLE_FUNCTIONS[case](4)
+        ix = f.projection.zero_based
         rng = np.random.default_rng(34)
         h = 1e-4
         for _ in range(10):
             g = _point(rng, 4, c_scale=1.0)
-            X = LieVector(rng.standard_normal(4), rng.standard_normal())
-            exact = second_invariant_derivative(iso2, f, X, g)
-            ix = f.projection.zero_based
-            vals = []
-            for s in (h, 0.0, -h):
-                p = _shifted(iso2, g, X, s)
-                vals.append(float(f.value(p.w[ix], p.c)))
-            numeric = (vals[0] - 2.0 * vals[1] + vals[2]) / (h * h)
-            assert exact == pytest.approx(numeric, rel=1e-4, abs=1e-4)
+            numeric = 0.0
+            for e in np.eye(4):
+                up = _shifted(iso2, g, LieVector(e, 0.0), h)
+                dn = _shifted(iso2, g, LieVector(e, 0.0), -h)
+                numeric += (
+                    float(f.value(up.w[ix], up.c))
+                    - 2.0 * float(f.value(g.w[ix], g.c))
+                    + float(f.value(dn.w[ix], dn.c))
+                ) / (h * h)
+            assert sub_laplacian(iso2, f, g) == pytest.approx(numeric, rel=1e-4, abs=1e-4)
+
+    @pytest.mark.parametrize("case", list(ORACLE_FUNCTIONS))
+    def test_second_partials_by_differences(self, case):
+        f = ORACLE_FUNCTIONS[case](4)
+        rng = np.random.default_rng(36)
+        h = 1e-5
+        for _ in range(10):
+            wp = rng.standard_normal(f.projection.size)
+            v = float(rng.standard_normal())
+            lap, hwc, hcc = f.second_derivs(wp, v)
+            numeric_lap = 0.0
+            for i, e in enumerate(h * np.eye(wp.size)):
+                up, dn = f.first_derivs(wp + e, v)[0], f.first_derivs(wp - e, v)[0]
+                numeric_lap += (up[i] - dn[i]) / (2.0 * h)
+            gw_up, gv_up = f.first_derivs(wp, v + h)
+            gw_dn, gv_dn = f.first_derivs(wp, v - h)
+            assert float(lap) == pytest.approx(numeric_lap, rel=1e-4, abs=1e-4)
+            assert hwc == pytest.approx((gw_up - gw_dn) / (2.0 * h), rel=1e-4, abs=1e-4)
+            assert float(hcc) == pytest.approx((gv_up - gv_dn) / (2.0 * h), rel=1e-4, abs=1e-4)
 
     def test_gradient_entries_are_basis_derivatives(self, iso2):
         f = make_registry_function("gauss_bump(1.0)", 4)
@@ -178,17 +216,6 @@ class TestDerivativeConsistency:
             e[j] = 1.0
             d = left_invariant_derivative(iso2, f, LieVector(e, 0.0), g)
             assert grad[j] == pytest.approx(d, rel=1e-13, abs=1e-15)
-
-    def test_sub_laplacian_is_sum_of_squared_fields(self, iso2):
-        f = make_registry_function("gauss_bump(1.0)", 4)
-        rng = np.random.default_rng(36)
-        g = _point(rng, 4)
-        total = 0.0
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = 1.0
-            total += second_invariant_derivative(iso2, f, LieVector(e, 0.0), g)
-        assert sub_laplacian(iso2, f, g) == pytest.approx(total, rel=1e-12, abs=1e-14)
 
     def test_grad_norm_sq_definition(self, iso2):
         f = make_registry_function("cos_theta", 4)
@@ -349,12 +376,11 @@ class TestCompatibilityChecks:
         "op",
         [
             lambda form, f, g: left_invariant_derivative(form, f, LieVector([1.0, -1.0], 0.5), g),
-            lambda form, f, g: second_invariant_derivative(form, f, LieVector([1.0, -1.0], 0.5), g),
             horizontal_gradient,
             grad_norm_sq,
             sub_laplacian,
         ],
-        ids=["left_invariant", "second_invariant", "gradient", "grad_norm_sq", "sub_laplacian"],
+        ids=["left_invariant", "gradient", "grad_norm_sq", "sub_laplacian"],
     )
     def test_reduced_group_needs_periodic_function(self, iso1, op):
         f = make_registry_function("vertical_sq", 2)

@@ -113,15 +113,21 @@ class TestReproducibility:
         assert _read(a / "report.json") == _read(b / "report.json")
         assert _read(a / "summary.csv") == _read(b / "summary.csv")
 
-    def test_worker_count_does_not_change_bytes(self, runner, tmp_path):
-        base = ["simulate", "--set", "m = 512", "--set", "N = 20"]
+    @pytest.mark.parametrize(
+        "subcommand", ["simulate", "heat-check", "lsi-scan", "quotient-check", "levy-cf"]
+    )
+    def test_worker_count_does_not_change_bytes(self, runner, tmp_path, subcommand):
+        # m >= 256, so the worker threads split the sample
+        base = [subcommand, "--set", "m = 512", "--set", "N = 20"]
         a, b = tmp_path / "serial", tmp_path / "threads"
         assert runner.invoke(main, [*base, "--out", str(a)]).exit_code == 0
         assert runner.invoke(
             main, [*base, "--workers", "8", "--out", str(b)]
         ).exit_code == 0
-        assert _read(a / "report.json") == _read(b / "report.json")
-        assert _read(a / "summary.csv") == _read(b / "summary.csv")
+        names = sorted(p.name for p in a.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in b.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert _read(a / name) == _read(b / name), name
 
     def test_config_file_plus_override(self, runner, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -161,6 +167,24 @@ class TestExitCodes:
         res = runner.invoke(main, ["simulate", *FAST, "--workers", workers, "--out", str(out)])
         assert res.exit_code == 2
         assert "--workers" in res.stderr
+        assert not out.exists()
+
+    def test_non_finite_selector_parameter_exits_two(self, runner, tmp_path):
+        # gauss_bump(inf) would otherwise run as the constant 1 and pass
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["heat-check", *FAST, "--set", "f = gauss_bump(inf)",
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "config error" in res.stderr and "non-finite" in res.stderr
+        assert not out.exists()
+
+    def test_overflowing_observable_exits_two(self, runner, tmp_path):
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["heat-check", "--set", "m = 200", "--set", "N = 10",
+                                   "--set", "f = exp_linear(1000)", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "error: heat-check: exp_linear(1000) at t = 1 " in res.stderr
+        assert "non-finite" in res.stderr
         assert not out.exists()
 
     def test_missing_config_file_exits_two(self, runner):

@@ -1,0 +1,67 @@
+"""Print the sha256 of every artifact the pinned configs write.
+
+Usage: python3 tools/pinned_bytes.py
+
+Each pinned config runs through `heislab.cli.run` in a temporary directory,
+one output directory per config.  The script prints one sorted
+`sha256  config/file` line per artifact except `manifest.json`, which holds
+wall-clock times.  Two trees write the same bytes when their outputs are
+identical, so a change meant to keep the bytes is checked by running the
+script on both and comparing.
+"""
+
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from heislab.cli import run  # noqa: E402
+from heislab.config import parse_config  # noqa: E402
+
+BASE = "m = 2000\nN = 50\nt = 0.5, 1\n"
+TRACE_CLASS = BASE + "form = trace_class\nweights = 1, 0.5"
+LSI_ERRORS = (
+    "m = 600\nN = 30\ndims = 1, 3\nf = exp_linear(1000), cos_theta, vertical_sq, poly_radial"
+)
+
+# name -> (subcommand, config text, --dump-endpoints)
+PINNED = {
+    "simulate": ("simulate", BASE, True),
+    "heat-check": ("heat-check", BASE, False),
+    "heat-check-n4": ("heat-check", BASE + "n = 4", False),
+    "heat-check-n8": ("heat-check", BASE + "n = 8", False),
+    "lsi-scan": ("lsi-scan", BASE + "m = 1000\ndims = 1, 2", False),
+    "lsi-scan-errors": ("lsi-scan", LSI_ERRORS, False),
+    "quotient-check": ("quotient-check", BASE, False),
+    "distance-G": ("distance", "target_c = 1.5\nK = 16", False),
+    "distance-Gtilde": ("distance", "target_c = 1.5\nK = 16\nspace = Gtilde", False),
+    "levy-cf": ("levy-cf", BASE, False),
+    "trace-class-simulate": ("simulate", TRACE_CLASS, False),
+    "trace-class-heat-check": ("heat-check", TRACE_CLASS, False),
+}
+
+
+def main() -> int:
+    lines = []
+    with tempfile.TemporaryDirectory() as root:
+        for name, (subcommand, text, dump) in PINNED.items():
+            out = os.path.join(root, name)
+            with contextlib.redirect_stdout(sys.stderr):
+                code = run(subcommand, parse_config(text), out=out, dump_endpoints=dump)
+            if code not in (0, 1):
+                print(f"{name}: exit {code}", file=sys.stderr)
+                return code
+            for file in sorted(os.listdir(out)):
+                if file != "manifest.json":
+                    with open(os.path.join(out, file), "rb") as fh:
+                        digest = hashlib.sha256(fh.read()).hexdigest()
+                    lines.append(f"{digest}  {name}/{file}")
+    print("\n".join(sorted(lines)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
