@@ -82,8 +82,12 @@ class CylinderFunction:
         th = rng.uniform(0.0, 2.0 * math.pi, size=8)
         a = np.asarray(self.F(wp, th), float)
         b = np.asarray(self.F(wp, th + 2.0 * math.pi), float)
-        scale = 1.0 + np.max(np.abs(a))
-        if np.max(np.abs(a - b)) > _PERIODICITY_TOL * scale:
+        # equal values match, infinities included; finite ones may differ by
+        # rounding relative to their own size; a NaN matches nothing
+        with np.errstate(invalid="ignore"):
+            diff = np.abs(a - b)
+        close = (a == b) | (np.isfinite(diff) & (diff <= _PERIODICITY_TOL * (1.0 + np.abs(a))))
+        if not np.all(close):
             raise ValueError(f"{self.name}: F is not 2*pi-periodic in the vertical argument")
 
     # -- evaluation ---------------------------------------------------------

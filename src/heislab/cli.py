@@ -106,7 +106,7 @@ class _Payload:
 
 def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> _Payload:
     form = build_form(cfg)
-    batch = sample_unit_endpoints([form], cfg.steps, cfg.seed, cfg.m, workers)[0]
+    batch = sample_unit_endpoints([form], cfg.N, cfg.seed, cfg.m, workers)[0]
     rows = []
     for t in cfg.t:
         mom = endpoint_moments(batch, t)
@@ -127,7 +127,7 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
                     "pass": abs(gap) <= 3.0 * est.std_error,
                 }
             )
-    payload = _Payload(results={"moments": rows, "m": cfg.m, "N": cfg.steps}, rows=rows)
+    payload = _Payload(results={"moments": rows, "m": cfg.m, "N": cfg.N}, rows=rows)
     if dump_endpoints:
         t0 = cfg.t[0]
         w = batch.w_at(t0)
@@ -151,12 +151,12 @@ def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
     if cfg.delta_t >= min(cfg.t):
         raise ConfigError([f"delta_t = {cfg.delta_t} must be smaller than every t in the grid"])
     form = build_form(cfg)
-    batch = sample_unit_endpoints([form], cfg.steps, cfg.seed, cfg.m, workers)[0]
+    batch = sample_unit_endpoints([form], cfg.N, cfg.seed, cfg.m, workers)[0]
+    fs = [make_registry_function(sel, form.dim) for sel in cfg.f_or_default(HEAT_DEFAULT_FS)]
     rows = []
     for t in cfg.t:
-        pcfg = PathConfig(t=float(t), steps=cfg.steps, base_seed=cfg.seed)
-        for sel in cfg.f_or_default(HEAT_DEFAULT_FS):
-            f = make_registry_function(sel, form.dim)
+        pcfg = PathConfig(t=float(t), steps=cfg.N, base_seed=cfg.seed)
+        for f in fs:
             rep = heat_equation_report(form, pcfg, f, cfg.m, cfg.delta_t, workers, batch)
             rows.append(
                 {
@@ -170,7 +170,7 @@ def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                 }
             )
     return _Payload(
-        results={"heat_check": rows, "delta_t": cfg.delta_t, "m": cfg.m, "N": cfg.steps},
+        results={"heat_check": rows, "delta_t": cfg.delta_t, "m": cfg.m, "N": cfg.N},
         rows=rows,
     )
 
@@ -183,7 +183,7 @@ def _run_lsi_scan(cfg: ExperimentConfig, workers: int) -> _Payload:
         cfg.t,
         cfg.f_or_default(),
         cfg.m,
-        steps=cfg.steps,
+        steps=cfg.N,
         base_seed=cfg.seed,
         c_ref=cfg.c_ref,
         space=cfg.space,
@@ -217,10 +217,10 @@ def _run_quotient_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                 [f"f = {sel} is not vertical-periodic; quotient-check needs periodic functions"]
             )
         fs.append(f)
-    batch = sample_unit_endpoints([form], cfg.steps, cfg.seed, cfg.m, workers)[0]
+    batch = sample_unit_endpoints([form], cfg.N, cfg.seed, cfg.m, workers)[0]
     rows = []
     for t in cfg.t:
-        pcfg = PathConfig(t=float(t), steps=cfg.steps, base_seed=cfg.seed)
+        pcfg = PathConfig(t=float(t), steps=cfg.N, base_seed=cfg.seed)
         for f in fs:
             rep = quotient_invariance_report(form, pcfg, f, cfg.m, workers, batch)
             rows.append(
@@ -238,7 +238,7 @@ def _run_quotient_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                     "pass": rep.bitwise_equal,
                 }
             )
-    return _Payload(results={"quotient_check": rows, "m": cfg.m, "N": cfg.steps}, rows=rows)
+    return _Payload(results={"quotient_check": rows, "m": cfg.m, "N": cfg.N}, rows=rows)
 
 
 def _run_distance(cfg: ExperimentConfig) -> _Payload:
@@ -296,17 +296,17 @@ def _levy_reference(form: SymplecticForm, lam: float, t: float) -> float:
 
 def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
     form = build_form(cfg)
-    batch = sample_unit_endpoints([form], cfg.steps, cfg.seed, cfg.m, workers)[0]
+    batch = sample_unit_endpoints([form], cfg.N, cfg.seed, cfg.m, workers)[0]
     rows = []
     extra = {}
     for idx, t in enumerate(cfg.t):
-        pcfg = PathConfig(t=float(t), steps=cfg.steps, base_seed=cfg.seed)
+        pcfg = PathConfig(t=float(t), steps=cfg.N, base_seed=cfg.seed)
         points = levy_area_char_function(form, pcfg, cfg.m, cfg.lambdas, workers, batch)
         first = len(rows)
         for pt in points:
             ref = _levy_reference(form, pt.lam, float(t))
             # first-order allowance for the finite-step area variance deficit
-            allowance = (pt.lam ** 2) * (float(t) ** 2) * form.frobenius_sq() / (16.0 * cfg.steps)
+            allowance = (pt.lam ** 2) * (float(t) ** 2) * form.frobenius_sq() / (16.0 * cfg.N)
             ok = abs(pt.cos_mean - ref) <= 3.0 * pt.cos_se + allowance and abs(
                 pt.sin_mean
             ) <= 3.0 * pt.sin_se + 1e-12
@@ -326,7 +326,7 @@ def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
             pairs = [(row["lambda"], row[col]) for row in rows[first:]]
             extra[f"{name}_t{idx}.dat"] = (f"lambda {col}", pairs)
     return _Payload(
-        results={"char_function": rows, "m": cfg.m, "N": cfg.steps}, rows=rows, extra_files=extra
+        results={"char_function": rows, "m": cfg.m, "N": cfg.N}, rows=rows, extra_files=extra
     )
 
 

@@ -10,10 +10,9 @@ is echoed into every artifact in a canonical form: sorted `key = value`
 lines that parse back to an equal configuration.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+import math
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Tuple, Union, get_args, get_origin
 
 import numpy as np
 
@@ -57,7 +56,7 @@ class ExperimentConfig:
     n: int = 1
     projection: Optional[Tuple[int, ...]] = None
     t: Tuple[float, ...] = (1.0,)
-    steps: int = 1000  # config key: N
+    N: int = 1000
     m: int = 200000
     seed: int = 42
     f: Tuple[str, ...] = ()  # empty means the subcommand's default selection
@@ -81,66 +80,31 @@ class ExperimentConfig:
         return self.f if self.f else tuple(default)
 
 
-# config key -> dataclass field (identity unless listed)
-_KEY_TO_FIELD = {"N": "steps"}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
-_KEYS = tuple(sorted(_FIELD_TO_KEY.get(f.name, f.name) for f in fields(ExperimentConfig)))
+# every config key is an ExperimentConfig field of the same name
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
+def _parse_scalar(kind, raw: str):
+    if kind is int:
+        return int(raw, 10)
+    if kind is float:
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("must be finite")
+        return value
+    return raw
 
 
-def _parse_float(raw: str) -> float:
-    value = float(raw)
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ValueError("must be finite")
-    return value
-
-
-def _split_list(raw: str):
+def _parse_value(kind, raw: str):
+    """Parse raw text as the field type: a scalar or a comma list of them."""
+    if get_origin(kind) is Union:  # Optional[X]
+        kind = get_args(kind)[0]
+    if get_origin(kind) is not tuple:
+        return _parse_scalar(kind, raw)
     items = [item.strip() for item in raw.split(",")]
-    if any(item == "" for item in items):
+    if "" in items:
         raise ValueError("empty list element")
-    return items
-
-def _parse_float_list(raw: str) -> Tuple[float, ...]:
-    return tuple(_parse_float(item) for item in _split_list(raw))
-
-
-def _parse_int_list(raw: str) -> Tuple[int, ...]:
-    return tuple(_parse_int(item) for item in _split_list(raw))
-
-
-def _parse_str_list(raw: str) -> Tuple[str, ...]:
-    return tuple(_split_list(raw))
-
-
-# key -> (parser, allows_empty_value_as_unset)
-_PARSERS = {
-    "form": (str, False),
-    "weights": (_parse_float_list, True),
-    "n": (_parse_int, False),
-    "projection": (_parse_int_list, True),
-    "t": (_parse_float_list, False),
-    "N": (_parse_int, False),
-    "m": (_parse_int, False),
-    "seed": (_parse_int, False),
-    "f": (_parse_str_list, True),
-    "c_ref": (_parse_float, False),
-    "space": (str, False),
-    "out": (str, True),
-    "delta_t": (_parse_float, False),
-    "K": (_parse_int, False),
-    "k_window": (_parse_int, False),
-    "lambdas": (_parse_float_list, False),
-    "dims": (_parse_int_list, False),
-    "scan_forms": (_parse_str_list, False),
-    "target_w": (_parse_float_list, False),
-    "target_c": (_parse_float, False),
-}
-
-_UNSET_DEFAULTS = {"weights": None, "projection": None, "out": None, "f": ()}
+    return tuple(_parse_scalar(get_args(kind)[0], item) for item in items)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -162,27 +126,25 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _PARSERS:
+        if key not in _FIELDS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        parser, allows_empty = _PARSERS[key]
+        field = _FIELDS[key]
         if value == "":
-            if allows_empty:
-                raw[key] = _UNSET_DEFAULTS[key]
+            # a key whose default is unset may be set back to it
+            if field.default in (None, ()):
+                raw[key] = field.default
                 explicit.discard(key)
             else:
                 errors.append(f"line {lineno}: key {key!r} needs a value")
             continue
         try:
-            raw[key] = parser(value)
+            raw[key] = _parse_value(field.type, value)
             explicit.add(key)
         except (ValueError, TypeError) as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
 
-    cfg_kwargs = {}
-    for key, value in raw.items():
-        cfg_kwargs[_KEY_TO_FIELD.get(key, key)] = value
-    cfg = ExperimentConfig(**cfg_kwargs)
+    cfg = ExperimentConfig(**raw)
 
     errors.extend(_validate(cfg, explicit))
     if errors:
@@ -190,7 +152,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # Re-freeze with the inferred dimension so the echo shows resolved values.
     if cfg.weights is not None and "n" not in explicit:
-        cfg = ExperimentConfig(**{**cfg_kwargs, "n": len(cfg.weights)})
+        cfg = replace(cfg, n=len(cfg.weights))
     return cfg
 
 
@@ -212,7 +174,7 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
     n_eff = len(cfg.weights) if (cfg.weights is not None and "n" not in explicit) else cfg.n
     if n_eff < 1:
         errors.append("n must be >= 1")
-    if cfg.steps < 1:
+    if cfg.N < 1:
         errors.append("N must be >= 1")
     if cfg.m < 2:
         errors.append("m must be >= 2")
@@ -310,8 +272,5 @@ def format_value(value) -> str:
 
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Sorted `key = value` lines; parses back to an equal config."""
-    lines = []
-    for key in _KEYS:
-        value = getattr(cfg, _KEY_TO_FIELD.get(key, key))
-        lines.append(f"{key} = {format_value(value)}")
+    lines = [f"{key} = {format_value(getattr(cfg, key))}" for key in sorted(_FIELDS)]
     return "\n".join(lines) + "\n"

@@ -28,16 +28,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calculus import CylinderFunction, sub_laplacian_batch, value_batch
-from .group import GroupElement, ReducedElement, quotient, wrap_angle
+from .group import wrap_angle
 from .model import SymplecticForm
 
 __all__ = [
     "PathConfig",
-    "EndpointSample",
     "McEstimate",
     "EndpointBatch",
     "sample_unit_endpoints",
-    "simulate_endpoint",
     "heat_equation_report",
     "HeatCheckReport",
     "levy_area_char_function",
@@ -67,17 +65,6 @@ class PathConfig:
             raise ValueError("steps must be >= 1")
         if not (0 <= self.base_seed < 2 ** 64):
             raise ValueError("base_seed must fit in 64 bits")
-
-
-@dataclass(frozen=True)
-class EndpointSample:
-    g: GroupElement
-    reduced: ReducedElement
-
-    def __post_init__(self):
-        q = quotient(self.g)
-        if not (np.array_equal(q.w, self.reduced.w) and q.theta == self.reduced.theta):
-            raise ValueError("reduced endpoint must equal the wrapped full endpoint")
 
 
 @dataclass(frozen=True)
@@ -188,20 +175,6 @@ def sample_unit_endpoints(
     return out
 
 
-def simulate_endpoint(form: SymplecticForm, cfg: PathConfig, sample_index: int) -> EndpointSample:
-    """Endpoint of one path; bit-identical for identical (base_seed, index)."""
-    if sample_index < 0:
-        raise ValueError("sample_index must be >= 0")
-    dim = form.dim
-    z = _stream(cfg.base_seed, sample_index).standard_normal((cfg.steps, dim))
-    s = np.cumsum(z, axis=0)
-    s_prev = np.concatenate([np.zeros((1, dim)), s[:-1]], axis=0)
-    c_hat = 0.5 * np.einsum("kj,kj->", s_prev @ form.omega, z) / cfg.steps
-    w_hat = s[-1] / math.sqrt(cfg.steps)
-    g = GroupElement(math.sqrt(cfg.t) * w_hat, cfg.t * c_hat)
-    return EndpointSample(g=g, reduced=quotient(g))
-
-
 def _mc_from_values(values: np.ndarray) -> McEstimate:
     m = values.shape[0]
     mean = float(np.mean(values))
@@ -228,6 +201,8 @@ def _ensure_batch(
     if batch is not None:
         if batch.m < m:
             raise ValueError("supplied batch has fewer samples than requested")
+        if not np.array_equal(batch.form.omega, form.omega):
+            raise ValueError("supplied batch was sampled for a different form")
         return batch
     return sample_unit_endpoints([form], cfg.steps, cfg.base_seed, m, workers)[0]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .diffusion import (
     SPACE_FULL,
     SPACE_REDUCED,
     EndpointBatch,
-    McEstimate,
     PathConfig,
     _ensure_batch,
     sample_unit_endpoints,
@@ -41,8 +40,6 @@ from .model import SymplecticForm, make_isotropic_form, make_nonisotropic_form
 __all__ = [
     "DEFAULT_C_REF",
     "LsiReport",
-    "entropy",
-    "dirichlet_energy",
     "lsi_ratio",
     "FormFamily",
     "ISOTROPIC_FAMILY",
@@ -110,29 +107,39 @@ class LsiReport:
         }
 
 
-class _Sides(NamedTuple):
-    """Both sides of the inequality from one batch, with standard errors."""
-
-    f_sq: float  # E[f^2]
-    entropy: float
-    entropy_se: float
-    energy: float
-    energy_se: float
-    ratio: Optional[float]  # None when the energy mean is zero
-    ratio_se: Optional[float]
+def _entropy_from_moments(a: float, b: float) -> float:
+    if b <= _TINY:
+        return 0.0
+    return a - b * math.log(b)
 
 
-def _sides(
+def _cell(form_name: str, f: CylinderFunction, n: int, cfg: PathConfig, m: int,
+          c_ref: float, space: str) -> dict:
+    """The LsiReport fields that name a cell, shared by every status."""
+    return dict(form_name=form_name, f_name=f.name, n=n, t=cfg.t, m=m, c_ref=c_ref,
+                bound=c_ref * cfg.t, space=space, base_seed=cfg.base_seed)
+
+
+def lsi_ratio(
     form: SymplecticForm,
     cfg: PathConfig,
     f: CylinderFunction,
     m: int,
-    space: str,
-    workers: int,
-    batch: Optional[EndpointBatch],
-) -> _Sides:
-    """The one estimator core: the means of f^2 log f^2, f^2 and |grad_H f|^2,
-    their joint sample covariance, and the delta-method errors from it."""
+    space: str = SPACE_FULL,
+    c_ref: float = DEFAULT_C_REF,
+    workers: int = 1,
+    batch: Optional[EndpointBatch] = None,
+    form_name: str = "custom",
+) -> LsiReport:
+    """Both sides of the inequality, their ratio, and the pass verdict.
+
+    The estimator core: the means of f^2 log f^2, f^2 and |grad_H f|^2 over
+    one batch, their joint sample covariance, and the delta-method errors
+    from it.  The verdict compares ratio against c_ref * t with a
+    3-standard-error allowance.  When the energy mean does not exceed 5 of
+    its standard errors the ratio is statistically meaningless and is
+    reported as undefined rather than as a huge noisy number.
+    """
     if m < 2:
         raise ValueError("m must be >= 2")
     if space == SPACE_REDUCED and not f.periodic:
@@ -156,84 +163,15 @@ def _sides(
     def se(grad):
         return math.sqrt(max(float(grad @ cov @ grad), 0.0) / m)
 
-    ratio = ratio_se = None
-    if c != 0.0:
-        ratio, ratio_se = h / c, se(np.array([1.0 / c, d_b / c, -h / (c * c)]))
-    return _Sides(f_sq=b, entropy=h, entropy_se=se(np.array([1.0, d_b, 0.0])), energy=c,
-                  energy_se=math.sqrt(max(float(cov[2, 2]), 0.0) / m),
-                  ratio=ratio, ratio_se=ratio_se)
-
-
-def _entropy_from_moments(a: float, b: float) -> float:
-    if b <= _TINY:
-        return 0.0
-    return a - b * math.log(b)
-
-
-def entropy(
-    form: SymplecticForm,
-    cfg: PathConfig,
-    f: CylinderFunction,
-    m: int,
-    space: str = SPACE_FULL,
-    workers: int = 1,
-    batch: Optional[EndpointBatch] = None,
-) -> McEstimate:
-    """Ent(f^2) with a delta-method standard error."""
-    sides = _sides(form, cfg, f, m, space, workers, batch)
-    if sides.f_sq <= _TINY:
-        raise ValueError(f"{f.name}: f vanishes on every sample; entropy is undefined")
-    return McEstimate(mean=sides.entropy, std_error=sides.entropy_se, m=m)
-
-
-def dirichlet_energy(
-    form: SymplecticForm,
-    cfg: PathConfig,
-    f: CylinderFunction,
-    m: int,
-    space: str = SPACE_FULL,
-    workers: int = 1,
-    batch: Optional[EndpointBatch] = None,
-) -> McEstimate:
-    """E[|grad_H f|^2] with its standard error."""
-    sides = _sides(form, cfg, f, m, space, workers, batch)
-    return McEstimate(mean=sides.energy, std_error=sides.energy_se, m=m)
-
-
-def _cell(form_name: str, f: CylinderFunction, n: int, cfg: PathConfig, m: int,
-          c_ref: float, space: str) -> dict:
-    """The LsiReport fields that name a cell, shared by every status."""
-    return dict(form_name=form_name, f_name=f.name, n=n, t=cfg.t, m=m, c_ref=c_ref,
-                bound=c_ref * cfg.t, space=space, base_seed=cfg.base_seed)
-
-
-def lsi_ratio(
-    form: SymplecticForm,
-    cfg: PathConfig,
-    f: CylinderFunction,
-    m: int,
-    space: str = SPACE_FULL,
-    c_ref: float = DEFAULT_C_REF,
-    workers: int = 1,
-    batch: Optional[EndpointBatch] = None,
-    form_name: str = "custom",
-) -> LsiReport:
-    """Both sides of the inequality, their ratio, and the pass verdict.
-
-    The verdict compares ratio against c_ref * t with a 3-standard-error
-    allowance.  When the energy mean does not exceed 5 of its standard
-    errors the ratio is statistically meaningless and is reported as
-    undefined rather than as a huge noisy number.
-    """
-    sides = _sides(form, cfg, f, m, space, workers, batch)
+    energy_se = math.sqrt(max(float(cov[2, 2]), 0.0) / m)
     base = dict(
         _cell(form_name, f, form.n, cfg, m, c_ref, space),
-        entropy=sides.entropy,
-        entropy_se=sides.entropy_se,
-        energy=sides.energy,
-        energy_se=sides.energy_se,
+        entropy=h,
+        entropy_se=se(np.array([1.0, d_b, 0.0])),
+        energy=c,
+        energy_se=energy_se,
     )
-    if not (sides.energy > _ENERGY_SNR * sides.energy_se and sides.energy > 0.0):
+    if not (c > _ENERGY_SNR * energy_se and c > 0.0):
         return LsiReport(
             ratio=None,
             ratio_se=None,
@@ -242,9 +180,9 @@ def lsi_ratio(
             message="energy mean below its noise floor; ratio not quoted",
             **base,
         )
-    passed = sides.ratio <= base["bound"] + 3.0 * sides.ratio_se
-    return LsiReport(ratio=sides.ratio, ratio_se=sides.ratio_se, passed=passed,
-                     status=STATUS_OK, **base)
+    ratio, ratio_se = h / c, se(np.array([1.0 / c, d_b / c, -h / (c * c)]))
+    passed = ratio <= base["bound"] + 3.0 * ratio_se
+    return LsiReport(ratio=ratio, ratio_se=ratio_se, passed=passed, status=STATUS_OK, **base)
 
 
 @dataclass(frozen=True)
@@ -278,52 +216,30 @@ def family_from_name(name: str) -> FormFamily:
         ) from None
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Grid of reports; iterates like a list and carries max summaries."""
-
-    reports: tuple
-
-    def __iter__(self):
-        return iter(self.reports)
-
-    def __len__(self):
-        return len(self.reports)
-
-    def __getitem__(self, idx):
-        return self.reports[idx]
+class ScanResult(tuple):
+    """The grid of reports, in scan order, with its worst-cell summaries."""
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.reports if r.passed is not None)
-
-    def failed(self) -> list:
-        return [r for r in self.reports if r.passed is False]
+        return all(r.passed for r in self if r.passed is not None)
 
     def max_ratio_by_dim(self, t: float) -> dict:
         """Per-dimension worst cell (largest defined ratio) at a fixed t."""
-        out: dict = {}
-        for r in self.reports:
-            if r.t != t or r.ratio is None:
-                continue
-            if r.n not in out or r.ratio > out[r.n].ratio:
-                out[r.n] = r
-        return out
+        return self._max_ratio_by(t, "n")
 
     def max_ratio_by_function(self, t: float) -> dict:
         """Per-function worst cell (largest defined ratio) at a fixed t."""
+        return self._max_ratio_by(t, "f_name")
+
+    def _max_ratio_by(self, t: float, key: str) -> dict:
         out: dict = {}
-        for r in self.reports:
+        for r in self:
             if r.t != t or r.ratio is None:
                 continue
-            if r.f_name not in out or r.ratio > out[r.f_name].ratio:
-                out[r.f_name] = r
+            k = getattr(r, key)
+            if k not in out or r.ratio > out[k].ratio:
+                out[k] = r
         return out
-
-    def cells(self, **match) -> list:
-        return [
-            r for r in self.reports if all(getattr(r, k) == v for k, v in match.items())
-        ]
 
 
 def lsi_scan(
@@ -353,9 +269,9 @@ def lsi_scan(
     for n in dims:
         forms = [fam.form(n) for fam in families]
         batches = sample_unit_endpoints(forms, steps, base_seed, m, workers)
+        fs = [make_registry_function(sel, 2 * n) for sel in f_registry]
         for fam, form, batch in zip(families, forms, batches):
-            for sel in f_registry:
-                f = make_registry_function(sel, 2 * n)
+            for f in fs:
                 for t in t_list:
                     cfg = PathConfig(t=float(t), steps=steps, base_seed=base_seed)
                     try:
@@ -383,7 +299,7 @@ def lsi_scan(
                             message=str(exc),
                         )
                     reports.append(rep)
-    return ScanResult(reports=tuple(reports))
+    return ScanResult(reports)
 
 
 @dataclass(frozen=True)

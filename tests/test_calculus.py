@@ -316,6 +316,15 @@ class TestQuotientComposition:
         with pytest.raises(ValueError):
             replace(honest, name="liar", F=lambda wp, v: np.asarray(v, float) * 1.0)
 
+    def test_periodicity_probe_is_not_blinded_by_overflow(self):
+        # F is infinite at some probe points and aperiodic at the others
+        honest = make_registry_function("cos_theta", 2)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            replace(honest, name="liar",
+                    F=lambda wp, v: np.asarray(v, float) + np.exp(1000.0 * wp[..., 0]))
+        with pytest.raises(ValueError):
+            replace(honest, name="nan_liar", F=lambda wp, v: np.full(np.shape(v), np.nan))
+
     def test_pointwise_identity_is_bitwise(self, iso1):
         f = make_registry_function("cos_theta", 2)
         lifted = compose_with_quotient(f)

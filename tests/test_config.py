@@ -1,5 +1,7 @@
 """Key=value experiment configuration: parsing, validation, canonical echo."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ class TestDefaults:
         cfg = parse_config("")
         assert cfg == ExperimentConfig()
         assert cfg.form == "isotropic" and cfg.n == 1 and cfg.dim == 2
-        assert cfg.t == (1.0,) and cfg.steps == 1000 and cfg.m == 200000
+        assert cfg.t == (1.0,) and cfg.N == 1000 and cfg.m == 200000
         assert cfg.seed == 42 and cfg.c_ref == 4.0 and cfg.space == "G"
         assert cfg.K == 64 and cfg.k_window == 3 and cfg.delta_t == 0.05
         assert cfg.lambdas == (0.5, 1.0, 2.0) and cfg.dims == (1, 2, 3, 4)
@@ -43,7 +45,18 @@ class TestDefaults:
 
 class TestParsing:
     def test_steps_key_is_capital_n(self):
-        assert parse_config("N = 500").steps == 500
+        assert parse_config("N = 500").N == 500
+
+    def test_every_field_is_a_key(self):
+        # a key may be left empty exactly when its default is unset
+        for field in fields(ExperimentConfig):
+            if field.default in (None, ()):
+                assert getattr(parse_config(f"{field.name} ="), field.name) == field.default
+            else:
+                with pytest.raises(ConfigError, match="needs a value"):
+                    parse_config(f"{field.name} =")
+        keys = [line.split(" = ")[0] for line in canonical_text(ExperimentConfig()).splitlines()]
+        assert keys == sorted(field.name for field in fields(ExperimentConfig))
 
     def test_lists(self):
         cfg = parse_config(

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from heislab import (
-    EndpointBatch,
-    GroupElement,
     PathConfig,
     SPACE_FULL,
     SPACE_REDUCED,
@@ -17,12 +15,10 @@ from heislab import (
     make_isotropic_form,
     make_nonisotropic_form,
     make_registry_function,
-    quotient,
     sample_unit_endpoints,
-    simulate_endpoint,
     wrap_angle,
 )
-from heislab.diffusion import EndpointSample, McEstimate
+from heislab.diffusion import McEstimate
 
 
 class TestValidation:
@@ -39,12 +35,6 @@ class TestValidation:
     def test_mc_estimate_needs_two_samples(self):
         with pytest.raises(ValueError):
             McEstimate(mean=0.0, std_error=0.0, m=1)
-
-    def test_endpoint_sample_consistency(self):
-        g = GroupElement([1.0, 2.0], 7.0)
-        with pytest.raises(ValueError):
-            EndpointSample(g=g, reduced=quotient(GroupElement([1.0, 2.0], 8.0)))
-        EndpointSample(g=g, reduced=quotient(g))
 
     def test_batch_inputs(self, iso1, iso2):
         with pytest.raises(ValueError):
@@ -80,16 +70,21 @@ class TestDeterminismAndStreams:
         assert np.array_equal(small.w_hat, large.w_hat[:20])
         assert np.array_equal(small.c_hat, large.c_hat[:20])
 
-    def test_single_path_matches_batch_row(self, iso1):
-        # steps=256 keeps sqrt(steps) a power of two, so the scalar path's
-        # division and the batch's multiplication round identically
-        cfg = PathConfig(t=2.0, steps=256, base_seed=11)
-        batch = sample_unit_endpoints([iso1], steps=256, base_seed=11, m=8)[0]
+    def test_single_path_matches_batch_row(self):
+        # sample i is the walk driven by the Philox stream keyed (base_seed, i);
+        # a step-by-step reference walk reproduces every row up to rounding
+        form = make_nonisotropic_form((1.0, 3.0))
+        steps, seed = 64, 11
+        batch = sample_unit_endpoints([form], steps=steps, base_seed=seed, m=8)[0]
         for i in range(8):
-            one = simulate_endpoint(iso1, cfg, i)
-            assert np.array_equal(one.g.w, batch.w_at(2.0)[i])
-            assert one.g.c == batch.c_at(2.0)[i]
-            assert one.reduced.theta == wrap_angle(one.g.c)
+            key = np.array([seed, i], dtype=np.uint64)
+            z = np.random.Generator(np.random.Philox(key=key)).standard_normal((steps, 4))
+            position, area = np.zeros(4), 0.0
+            for dz in z:
+                area += 0.5 * (position @ form.omega @ dz)
+                position = position + dz
+            assert np.allclose(batch.w_hat[i], position / math.sqrt(steps), rtol=1e-12, atol=0)
+            assert batch.c_hat[i] == pytest.approx(area / steps, rel=1e-12, abs=1e-14)
 
     def test_worker_split_is_bitwise_equal(self, iso1):
         serial = sample_unit_endpoints([iso1], steps=32, base_seed=5, m=512, workers=1)[0]
@@ -168,6 +163,15 @@ class TestHeatEquation:
         assert rep.residual == pytest.approx(
             abs(rep.ddt.mean - rep.half_generator.mean), rel=1e-9, abs=1e-12
         )
+
+    def test_batch_from_another_form_is_rejected(self, iso1, batch_iso1):
+        cfg = PathConfig(t=1.0, steps=400, base_seed=42)
+        other = make_nonisotropic_form((3.0,))
+        f = make_registry_function("vertical_sq", 2)
+        with pytest.raises(ValueError, match="different form"):
+            heat_equation_report(other, cfg, f, m=100, delta_t=0.05, batch=batch_iso1)
+        with pytest.raises(ValueError, match="different form"):
+            levy_area_char_function(other, cfg, m=100, lambdas=(1.0,), batch=batch_iso1)
 
     def test_non_integrable_observable_raises(self, iso1):
         # no batch given: the report samples its own, then rejects the overflow
