@@ -14,7 +14,9 @@ from which the horizontal gradient and the sub-Laplacian follow:
 
 Note the omega(w, e_j) coupling runs over all 2n directions even when F
 only reads a sub-block, so gradients have full length 2n.  The same
-formulas hold on the reduced group with theta in place of c.
+formulas hold on the reduced group with theta in place of c.  An observable
+is F plus two callables: `first` gives the partials the gradient reads and
+`second` the ones the sub-Laplacian reads.
 """
 
 from __future__ import annotations
@@ -50,12 +52,13 @@ class CylinderFunction:
     """F over a coordinate projection plus the vertical coordinate, with its
     exact partials.
 
-    F and the five partials must be vectorized: wp has shape (..., 2m) (the
+    F, first and second must be vectorized: wp has shape (..., 2m) (the
     projected coordinates in index order), v has shape (...), and every
-    callable returns arrays with matching leading axes: dF_dw (..., 2m),
-    dF_dc (...), lap_w (...), d2F_dwc (..., 2m), d2F_dcc (...).  lap_w is the
-    flat Laplacian sum_i d2F/dw_i2, the only part of the flat Hessian that
-    the sub-Laplacian reads.
+    callable returns arrays with matching leading axes.  F returns (...),
+    first returns (dF/dw (..., 2m), dF/dc (...)) and second returns
+    (lap_w (...), d2F/dwdc (..., 2m), d2F/dc2 (...)).  lap_w is the flat
+    Laplacian sum_i d2F/dw_i2, the only part of the flat Hessian that the
+    sub-Laplacian reads.
 
     periodic=True declares 2*pi-periodicity in the vertical argument (checked
     at construction on a probe grid); only periodic functions may be read on
@@ -65,11 +68,8 @@ class CylinderFunction:
     name: str
     projection: Projection
     F: Callable
-    dF_dw: Callable
-    dF_dc: Callable
-    lap_w: Callable
-    d2F_dwc: Callable
-    d2F_dcc: Callable
+    first: Callable
+    second: Callable
     periodic: bool = False
 
     def __post_init__(self):
@@ -97,19 +97,13 @@ class CylinderFunction:
 
     def first_derivs(self, wp, v):
         """(dF/dw (..., 2m), dF/dc (...)) at the given points."""
-        wp = np.asarray(wp, float)
-        v = np.asarray(v, float)
-        return np.asarray(self.dF_dw(wp, v), float), np.asarray(self.dF_dc(wp, v), float)
+        gw, gv = self.first(np.asarray(wp, float), np.asarray(v, float))
+        return np.asarray(gw, float), np.asarray(gv, float)
 
     def second_derivs(self, wp, v):
         """(sum_i d2F/dw_i2 (...), d2F/dwc (..., 2m), d2F/dcc (...))."""
-        wp = np.asarray(wp, float)
-        v = np.asarray(v, float)
-        return (
-            np.asarray(self.lap_w(wp, v), float),
-            np.asarray(self.d2F_dwc(wp, v), float),
-            np.asarray(self.d2F_dcc(wp, v), float),
-        )
+        lap, hwc, hcc = self.second(np.asarray(wp, float), np.asarray(v, float))
+        return np.asarray(lap, float), np.asarray(hwc, float), np.asarray(hcc, float)
 
 
 # -- helpers ---------------------------------------------------------------
@@ -233,11 +227,8 @@ def compose_with_quotient(f: CylinderFunction) -> CylinderFunction:
         f,
         name=f.name + "_lifted",
         F=lift(f.F),
-        dF_dw=lift(f.dF_dw),
-        dF_dc=lift(f.dF_dc),
-        lap_w=lift(f.lap_w),
-        d2F_dwc=lift(f.d2F_dwc),
-        d2F_dcc=lift(f.d2F_dcc),
+        first=lift(f.first),
+        second=lift(f.second),
         periodic=True,
     )
 
@@ -250,52 +241,28 @@ def multiply_functions(f1: CylinderFunction, f2: CylinderFunction) -> CylinderFu
     def F(wp, v):
         return f1.F(wp, v) * f2.F(wp, v)
 
-    def dF_dw(wp, v):
-        return (
-            np.asarray(f1.dF_dw(wp, v), float) * np.asarray(f2.F(wp, v), float)[..., None]
-            + np.asarray(f1.F(wp, v), float)[..., None] * np.asarray(f2.dF_dw(wp, v), float)
-        )
+    def first(wp, v):
+        a, b = f1.value(wp, v), f2.value(wp, v)
+        (ga, va), (gb, vb) = f1.first_derivs(wp, v), f2.first_derivs(wp, v)
+        return ga * b[..., None] + a[..., None] * gb, va * b + a * vb
 
-    def dF_dc(wp, v):
-        return f1.dF_dc(wp, v) * f2.F(wp, v) + f1.F(wp, v) * f2.dF_dc(wp, v)
-
-    def lap_w(wp, v):
-        a, b = np.asarray(f1.F(wp, v), float), np.asarray(f2.F(wp, v), float)
-        ga, gb = np.asarray(f1.dF_dw(wp, v), float), np.asarray(f2.dF_dw(wp, v), float)
+    def second(wp, v):
+        a, b = f1.value(wp, v), f2.value(wp, v)
+        (ga, va), (gb, vb) = f1.first_derivs(wp, v), f2.first_derivs(wp, v)
+        (la, hwa, hca), (lb, hwb, hcb) = f1.second_derivs(wp, v), f2.second_derivs(wp, v)
         return (
-            np.asarray(f1.lap_w(wp, v), float) * b
-            + 2.0 * np.einsum("...i,...i->...", ga, gb)
-            + a * np.asarray(f2.lap_w(wp, v), float)
-        )
-
-    def d2F_dwc(wp, v):
-        a, b = np.asarray(f1.F(wp, v), float), np.asarray(f2.F(wp, v), float)
-        ga, gb = np.asarray(f1.dF_dw(wp, v), float), np.asarray(f2.dF_dw(wp, v), float)
-        va, vb = np.asarray(f1.dF_dc(wp, v), float), np.asarray(f2.dF_dc(wp, v), float)
-        return (
-            np.asarray(f1.d2F_dwc(wp, v), float) * b[..., None]
-            + ga * vb[..., None]
-            + gb * va[..., None]
-            + a[..., None] * np.asarray(f2.d2F_dwc(wp, v), float)
-        )
-
-    def d2F_dcc(wp, v):
-        return (
-            f1.d2F_dcc(wp, v) * f2.F(wp, v)
-            + 2.0 * f1.dF_dc(wp, v) * f2.dF_dc(wp, v)
-            + f1.F(wp, v) * f2.d2F_dcc(wp, v)
+            la * b + 2.0 * np.einsum("...i,...i->...", ga, gb) + a * lb,
+            hwa * b[..., None] + ga * vb[..., None] + gb * va[..., None] + a[..., None] * hwb,
+            hca * b + 2.0 * va * vb + a * hcb,
         )
 
     return CylinderFunction(
         name=f"{f1.name}*{f2.name}",
         projection=f1.projection,
         F=F,
+        first=first,
+        second=second,
         periodic=f1.periodic and f2.periodic,
-        dF_dw=dF_dw,
-        dF_dc=dF_dc,
-        lap_w=lap_w,
-        d2F_dwc=d2F_dwc,
-        d2F_dcc=d2F_dcc,
     )
 
 
@@ -310,125 +277,102 @@ REGISTRY_DEFAULT_SELECTION = (
 )
 
 
-def _zeros_like_wp(wp):
-    return np.zeros(wp.shape)
-
-
 def _zeros_scalar(wp, v):
     return np.zeros(np.broadcast(wp[..., 0], v).shape)
 
 
 def _make_poly_radial(dim: int) -> CylinderFunction:
-    proj = full_projection(dim)
-
     return CylinderFunction(
         name="poly_radial",
-        projection=proj,
+        projection=full_projection(dim),
         F=lambda wp, v: np.einsum("...i,...i->...", wp, wp),
+        first=lambda wp, v: (2.0 * wp, _zeros_scalar(wp, v)),
+        second=lambda wp, v: (
+            np.full(wp.shape[:-1], 2.0 * wp.shape[-1]), np.zeros(wp.shape), _zeros_scalar(wp, v)
+        ),
         periodic=True,  # no vertical dependence
-        dF_dw=lambda wp, v: 2.0 * wp,
-        dF_dc=_zeros_scalar,
-        lap_w=lambda wp, v: np.full(wp.shape[:-1], 2.0 * wp.shape[-1]),
-        d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
-        d2F_dcc=_zeros_scalar,
+    )
+
+
+def _vertical_only(name: str, F, dF, d2F, periodic: bool) -> CylinderFunction:
+    """F(v) of the vertical coordinate alone; dF and d2F are its derivatives."""
+    return CylinderFunction(
+        name=name,
+        projection=Projection((1, 2)),  # any even block works; F ignores wp
+        F=lambda wp, v: F(np.asarray(v, float)),
+        first=lambda wp, v: (np.zeros(wp.shape), dF(np.asarray(v, float))),
+        second=lambda wp, v: (_zeros_scalar(wp, v), np.zeros(wp.shape), d2F(np.asarray(v, float))),
+        periodic=periodic,
     )
 
 
 def _make_vertical_sq(dim: int) -> CylinderFunction:
-    proj = Projection((1, 2))  # any even block works; F ignores wp
-
-    return CylinderFunction(
-        name="vertical_sq",
-        projection=proj,
-        F=lambda wp, v: np.asarray(v, float) ** 2,
+    return _vertical_only(
+        "vertical_sq", lambda v: v ** 2, lambda v: 2.0 * v, lambda v: np.full(v.shape, 2.0),
         periodic=False,
-        dF_dw=lambda wp, v: _zeros_like_wp(wp),
-        dF_dc=lambda wp, v: 2.0 * np.asarray(v, float),
-        lap_w=_zeros_scalar,
-        d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
-        d2F_dcc=lambda wp, v: np.full(np.shape(v), 2.0) if np.ndim(v) else 2.0,
+    )
+
+
+def _make_cos_theta(dim: int) -> CylinderFunction:
+    return _vertical_only(
+        "cos_theta", np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), periodic=True
     )
 
 
 def _make_exp_linear(dim: int, lam: float = 0.5) -> CylinderFunction:
     lam = float(lam)
-    proj = Projection((1, 2))
 
     def F(wp, v):
         return np.exp(lam * wp[..., 0])
 
-    def dF_dw(wp, v):
-        out = np.zeros(wp.shape)
-        out[..., 0] = lam * F(wp, v)
-        return out
+    def first(wp, v):
+        gw = np.zeros(wp.shape)
+        gw[..., 0] = lam * F(wp, v)
+        return gw, _zeros_scalar(wp, v)
 
     return CylinderFunction(
         name=f"exp_linear({lam:g})",
-        projection=proj,
+        projection=Projection((1, 2)),
         F=F,
+        first=first,
+        second=lambda wp, v: (lam * lam * F(wp, v), np.zeros(wp.shape), _zeros_scalar(wp, v)),
         periodic=True,
-        dF_dw=dF_dw,
-        dF_dc=_zeros_scalar,
-        lap_w=lambda wp, v: lam * lam * F(wp, v),
-        d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
-        d2F_dcc=_zeros_scalar,
-    )
-
-
-def _make_cos_theta(dim: int) -> CylinderFunction:
-    proj = Projection((1, 2))
-
-    return CylinderFunction(
-        name="cos_theta",
-        projection=proj,
-        F=lambda wp, v: np.cos(np.asarray(v, float)),
-        periodic=True,
-        dF_dw=lambda wp, v: _zeros_like_wp(wp),
-        dF_dc=lambda wp, v: -np.sin(np.asarray(v, float)),
-        lap_w=_zeros_scalar,
-        d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
-        d2F_dcc=lambda wp, v: -np.cos(np.asarray(v, float)),
     )
 
 
 def _make_gauss_bump(dim: int, sigma: float = 1.0) -> CylinderFunction:
     sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError("gauss_bump needs sigma > 0")
-    proj = full_projection(dim)
     s2 = sigma * sigma
+    s4 = s2 * s2
+    # the partials divide by sigma**4, and where it overflows F is the constant 1
+    if not (sigma > 0 and 0.0 < s4 < math.inf):
+        raise ValueError("gauss_bump needs sigma > 0 with 0 < sigma**4 < inf")
 
     def F(wp, v):
         r2 = np.einsum("...i,...i->...", wp, wp) + np.asarray(v, float) ** 2
         return np.exp(-r2 / (2.0 * s2))
 
-    def dF_dw(wp, v):
-        return -(wp / s2) * F(wp, v)[..., None]
+    def first(wp, v):
+        f = F(wp, v)
+        return -(wp / s2) * f[..., None], -(np.asarray(v, float) / s2) * f
 
-    def dF_dc(wp, v):
-        return -(np.asarray(v, float) / s2) * F(wp, v)
-
-    def lap_w(wp, v):
-        # term by term: the closed form (|wp|^2/s2^2 - k/s2) F rounds differently
-        return ((wp * wp / (s2 * s2) - 1.0 / s2) * F(wp, v)[..., None]).sum(-1)
-
-    def d2F_dwc(wp, v):
-        return (wp * np.asarray(v, float)[..., None] / (s2 * s2)) * F(wp, v)[..., None]
-
-    def d2F_dcc(wp, v):
+    def second(wp, v):
+        f = F(wp, v)
         vv = np.asarray(v, float)
-        return (vv * vv / (s2 * s2) - 1.0 / s2) * F(wp, v)
+        return (
+            # term by term: the closed form (|wp|^2/s4 - k/s2) F rounds differently
+            ((wp * wp / s4 - 1.0 / s2) * f[..., None]).sum(-1),
+            (wp * vv[..., None] / s4) * f[..., None],
+            (vv * vv / s4 - 1.0 / s2) * f,
+        )
 
     return CylinderFunction(
         name=f"gauss_bump({sigma:g})",
-        projection=proj,
+        projection=full_projection(dim),
         F=F,
+        first=first,
+        second=second,
         periodic=False,
-        dF_dw=dF_dw,
-        dF_dc=dF_dc,
-        lap_w=lap_w,
-        d2F_dwc=d2F_dwc,
-        d2F_dcc=d2F_dcc,
     )
 
 

@@ -143,6 +143,10 @@ def sample_unit_endpoints(
         raise ValueError("m must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if not forms:
+        raise ValueError("forms must not be empty")
     dim = forms[0].dim
     for fm in forms:
         if fm.dim != dim:

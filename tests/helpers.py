@@ -5,12 +5,16 @@ import numpy as np
 from heislab import CylinderFunction, full_projection
 
 
-def _zeros_like_wp(wp):
-    return np.zeros(wp.shape)
-
-
 def _zeros_scalar(wp, v):
     return np.zeros(np.broadcast(wp[..., 0], v).shape)
+
+
+def _zero_first(wp, v):
+    return np.zeros(wp.shape), _zeros_scalar(wp, v)
+
+
+def _zero_second(wp, v):
+    return _zeros_scalar(wp, v), np.zeros(wp.shape), _zeros_scalar(wp, v)
 
 
 def constant_function(dim, value=1.0):
@@ -20,33 +24,27 @@ def constant_function(dim, value=1.0):
         name=f"const({value:g})",
         projection=full_projection(dim),
         F=lambda wp, v: np.full(np.broadcast(wp[..., 0], v).shape, value),
+        first=_zero_first,
+        second=_zero_second,
         periodic=True,
-        dF_dw=lambda wp, v: _zeros_like_wp(wp),
-        dF_dc=_zeros_scalar,
-        lap_w=_zeros_scalar,
-        d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
-        d2F_dcc=_zeros_scalar,
     )
 
 
 def linear_coordinate(dim, axis=0):
     """f(g) = w_{axis+1}; the horizontal gradient is the constant e_{axis+1}."""
 
-    def dF_dw(wp, v):
-        out = np.zeros(wp.shape)
-        out[..., axis] = 1.0
-        return out
+    def first(wp, v):
+        gw = np.zeros(wp.shape)
+        gw[..., axis] = 1.0
+        return gw, _zeros_scalar(wp, v)
 
     return CylinderFunction(
         name=f"coord_{axis + 1}",
         projection=full_projection(dim),
         F=lambda wp, v: np.array(wp[..., axis], float),
+        first=first,
+        second=_zero_second,
         periodic=True,
-        dF_dw=dF_dw,
-        dF_dc=_zeros_scalar,
-        lap_w=_zeros_scalar,
-        d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
-        d2F_dcc=_zeros_scalar,
     )
 
 
@@ -56,13 +54,10 @@ def zero_function(dim):
     return CylinderFunction(
         name="zero",
         projection=full_projection(dim),
-        F=lambda wp, v: np.zeros(np.broadcast(wp[..., 0], v).shape),
+        F=_zeros_scalar,
+        first=_zero_first,
+        second=_zero_second,
         periodic=True,
-        dF_dw=lambda wp, v: _zeros_like_wp(wp),
-        dF_dc=_zeros_scalar,
-        lap_w=_zeros_scalar,
-        d2F_dwc=lambda wp, v: _zeros_like_wp(wp),
-        d2F_dcc=_zeros_scalar,
     )
 
 
@@ -90,15 +85,20 @@ def rotated_function(f, rotation):
     def to_old(wp):
         return wp @ R.T
 
+    def first(wp, v):
+        gw, gv = f.first(to_old(wp), v)
+        return np.asarray(gw, float) @ R, gv
+
+    def second(wp, v):
+        # the flat Laplacian commutes with orthogonal changes of variables
+        lap, hwc, hcc = f.second(to_old(wp), v)
+        return lap, np.asarray(hwc, float) @ R, hcc
+
     return CylinderFunction(
         name=f.name + "_rotated",
         projection=f.projection,
         F=lambda wp, v: f.F(to_old(wp), v),
+        first=first,
+        second=second,
         periodic=f.periodic,
-        dF_dw=lambda wp, v: np.asarray(f.dF_dw(to_old(wp), v), float) @ R,
-        dF_dc=lambda wp, v: f.dF_dc(to_old(wp), v),
-        # the flat Laplacian commutes with orthogonal changes of variables
-        lap_w=lambda wp, v: f.lap_w(to_old(wp), v),
-        d2F_dwc=lambda wp, v: np.asarray(f.d2F_dwc(to_old(wp), v), float) @ R,
-        d2F_dcc=lambda wp, v: f.d2F_dcc(to_old(wp), v),
     )

@@ -81,6 +81,8 @@ class TestRegistry:
         [
             "nope", "exp_linear(", "exp_linear(a)", "cos_theta(1)", "gauss_bump(1,2)",
             "gauss_bump(inf)", "gauss_bump(nan)", "exp_linear(inf)", "exp_linear(nan)",
+            # sigma**4 underflows to 0 / overflows to inf
+            "gauss_bump(1e-170)", "gauss_bump(1e200)",
         ],
     )
     def test_bad_selectors(self, selector):

@@ -178,6 +178,16 @@ class TestExitCodes:
         assert "config error" in res.stderr and "non-finite" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["1e-170", "1e200"])
+    def test_degenerate_gauss_bump_exits_two(self, runner, tmp_path, sigma):
+        # a sigma**4 of 0 would divide by zero, one of inf make the bump the constant 1
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["heat-check", "--set", "m = 200", "--set", "N = 5",
+                                   "--set", f"f = gauss_bump({sigma})", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "config error" in res.stderr and "gauss_bump" in res.stderr
+        assert not out.exists()
+
     def test_overflowing_observable_exits_two(self, runner, tmp_path):
         out = tmp_path / "o"
         res = runner.invoke(main, ["heat-check", "--set", "m = 200", "--set", "N = 10",

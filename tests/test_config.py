@@ -1,6 +1,8 @@
 """Key=value experiment configuration: parsing, validation, canonical echo."""
 
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +283,12 @@ class TestFormatValue:
         assert format_value(np.bool_(True)) == format_value(True) == "true"
         assert format_value(None) == "" and format_value(False) == "false"
         assert format_value(("a", 1.5, 2)) == "a,1.5,2"
+
+
+class TestReadmeKeys:
+    def test_key_table_lists_exactly_the_config_fields(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+        keys = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {fld.name for fld in fields(ExperimentConfig)}

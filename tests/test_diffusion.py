@@ -44,6 +44,11 @@ class TestValidation:
         for workers in (0, -1):
             with pytest.raises(ValueError):
                 sample_unit_endpoints([iso1], steps=100, base_seed=1, m=4, workers=workers)
+        for steps in (0, -3):
+            with pytest.raises(ValueError, match="steps"):
+                sample_unit_endpoints([iso1], steps=steps, base_seed=1, m=4)
+        with pytest.raises(ValueError, match="forms"):
+            sample_unit_endpoints([], steps=100, base_seed=1, m=4)
 
     def test_vertical_space_names(self, iso1):
         b = sample_unit_endpoints([iso1], steps=16, base_seed=3, m=4)[0]
