@@ -49,7 +49,7 @@ from .group import GroupElement, ReducedElement, wrap_angle
 from .lsi import family_from_name, lsi_scan, quotient_invariance_report
 from .model import SymplecticForm
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 HEAT_DEFAULT_FS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 QUOTIENT_DEFAULT_FS = ("cos_theta",)
@@ -256,15 +256,13 @@ def _run_distance(cfg: ExperimentConfig) -> _Payload:
             K=cfg.K,
             k_window=cfg.k_window,
         )
-        winning_k = res.winning_k
         fibers["fiber_candidates"] = [{"k": k, "estimate": est} for k, est in res.candidates]
     else:
         res = cc_distance(form, GroupElement(w, float(cfg.target_c)), K=cfg.K)
-        winning_k = None
     row = {
         "estimate": res.estimate,
         "residual": res.c_residual,
-        "winning_k": winning_k,
+        "winning_k": res.winning_k,
         "K": cfg.K,
         "converged": res.converged,
         "pass": res.converged,
@@ -290,8 +288,7 @@ def _run_distance(cfg: ExperimentConfig) -> _Payload:
 
 
 def _levy_reference(form: SymplecticForm, lam: float, t: float) -> float:
-    pair_weights = np.linalg.svd(form.omega, compute_uv=False)[::2]
-    return float(np.prod(1.0 / np.cosh(pair_weights * lam * t / 2.0)))
+    return float(np.prod(1.0 / np.cosh(form.weights * lam * t / 2.0)))
 
 
 def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:

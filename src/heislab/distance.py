@@ -10,10 +10,10 @@ That polygon is built directly, the discrete analogue of the geodesics of
 Gaveau (1977) and Beals-Gaveau-Greiner (J. Math. Pures Appl. 2000).  At a
 stationary polygon every segment has the same length and consecutive
 segments satisfy delta_{k+1} = (I - beta Omega)^{-1} (I + beta Omega)
-delta_k.  In the normal form Q^T Omega Q = (+)_j a_j [[0, 1], [-1, 0]],
-with block j read as a complex number z_j = |z_j| e^{i arg z_j}, each
-step turns block j by psi_j = 2 arctan(beta a_j), and the segments that
-sum to z_j start at
+delta_k.  In the normal form Q^T Omega Q = (+)_j a_j [[0, 1], [-1, 0]]
+(`form.frame` Q and `form.weights` a), with block j read as a complex
+number z_j = |z_j| e^{i arg z_j}, each step turns block j by psi_j =
+2 arctan(beta a_j), and the segments that sum to z_j start at
 
     delta_{1,j} = z_j e^{-i (K-1) psi_j / 2} sin(psi_j / 2) / sin(K psi_j / 2).
 
@@ -31,11 +31,10 @@ regular K-gon's isoperimetric gap, and c = 0 gives the straight chord.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import schur
 
 # `minimize` is not called here.  The name stays bound because the traced
 # benchmark run (perfbench/worker.py) wraps heislab.distance.minimize to count
@@ -44,7 +43,7 @@ from scipy.linalg import schur
 from scipy.optimize import brentq, minimize  # noqa: F401
 
 from .group import GroupElement, ReducedElement, TWO_PI, inverse, multiply
-from .model import SymplecticForm, _block_diag_form
+from .model import SymplecticForm
 
 # A returned path is converged when it meets c to this share of 1 + |c|.
 C_TOL_REL = 1e-6
@@ -55,7 +54,6 @@ __all__ = [
     "LiftedPath",
     "lift",
     "DistanceResult",
-    "ReducedDistanceResult",
     "cc_distance",
     "cc_distance_reduced",
     "distance_between",
@@ -113,43 +111,15 @@ def lift(form: SymplecticForm, path: HorizontalPath) -> LiftedPath:
 
 @dataclass(frozen=True)
 class DistanceResult:
+    """A solve's estimate and polygon; reduced solves also name the winning
+    winding offset and every (k, estimate or None when pruned) candidate."""
+
     estimate: float
     path: HorizontalPath
     c_residual: float
     converged: bool
-
-    def __iter__(self):
-        return iter((self.estimate, self.path))
-
-
-@dataclass(frozen=True)
-class ReducedDistanceResult:
-    estimate: float
-    winning_k: int
-    path: HorizontalPath
-    c_residual: float
-    converged: bool
-    candidates: Tuple[Tuple[int, Optional[float]], ...] = field(default=())
-
-    def __iter__(self):
-        return iter((self.estimate, self.winning_k))
-
-
-def _normal_form(omega: np.ndarray):
-    """Orthogonal Q and weights a > 0 with Q^T Omega Q = (+)_j a_j [[0, 1], [-1, 0]].
-
-    Forms built by the model already are in normal form (Q = I, so nothing
-    is rounded); any other skew form goes through the real Schur
-    decomposition, whose 2x2 blocks are oriented by swapping columns.
-    """
-    a = np.diagonal(omega[0::2, 1::2]).copy()
-    if np.all(a > 0.0) and np.array_equal(omega, _block_diag_form(a)):
-        return np.eye(omega.shape[0]), a
-    T, Q = schur(omega, output="real")
-    a = 0.5 * (np.diagonal(T, 1)[0::2] - np.diagonal(T, -1)[0::2])
-    for j in np.flatnonzero(a < 0.0):
-        Q[:, [2 * j, 2 * j + 1]] = Q[:, [2 * j + 1, 2 * j]]
-    return Q, np.abs(a)
+    winning_k: Optional[int] = None
+    candidates: Tuple[Tuple[int, Optional[float]], ...] = ()
 
 
 def _optimal_segments(a: np.ndarray, z: np.ndarray, K: int, c: float) -> np.ndarray:
@@ -203,8 +173,8 @@ def _optimal_segments(a: np.ndarray, z: np.ndarray, K: int, c: float) -> np.ndar
 def cc_distance(form: SymplecticForm, target: GroupElement, K: int = 64) -> DistanceResult:
     """Distance from the identity to target, with the realizing polygon.
 
-    Unpacks as (estimate, path); the full result also carries the area
-    residual of the returned path, from its lift, and a convergence flag.
+    The result also carries the area residual of the returned path, from
+    its lift, and a convergence flag.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -216,9 +186,9 @@ def cc_distance(form: SymplecticForm, target: GroupElement, K: int = 64) -> Dist
     if c == 0.0:
         nodes = np.linspace(0.0, 1.0, K + 1)[:, None] * w[None, :]
     else:
-        Q, a = _normal_form(form.omega)
+        Q = form.frame
         u = Q.T @ w
-        segs = _optimal_segments(a, u[0::2] + 1j * u[1::2], K, c)
+        segs = _optimal_segments(form.weights, u[0::2] + 1j * u[1::2], K, c)
         normal = np.zeros((K + 1, form.dim))
         normal[1:, 0::2] = np.cumsum(segs.real, axis=0)
         normal[1:, 1::2] = np.cumsum(segs.imag, axis=0)
@@ -257,7 +227,7 @@ def cc_distance_reduced(
     target: ReducedElement,
     K: int = 64,
     k_window: int = 3,
-) -> ReducedDistanceResult:
+) -> DistanceResult:
     """Distance on the reduced group: minimum over fiber representatives.
 
     Each winding offset k in [-k_window, k_window] names the full-group
@@ -295,14 +265,7 @@ def cc_distance_reduced(
             best, best_k = res, k
 
     evaluated.sort(key=lambda item: item[0])
-    return ReducedDistanceResult(
-        estimate=best.estimate,
-        winning_k=best_k,
-        path=best.path,
-        c_residual=best.c_residual,
-        converged=best.converged,
-        candidates=tuple(evaluated),
-    )
+    return replace(best, winning_k=best_k, candidates=tuple(evaluated))
 
 
 def distance_between(

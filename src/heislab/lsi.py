@@ -33,6 +33,7 @@ from .diffusion import (
     EndpointBatch,
     PathConfig,
     _ensure_batch,
+    _require_finite,
     sample_unit_endpoints,
 )
 from .model import SymplecticForm, make_isotropic_form, make_nonisotropic_form
@@ -360,6 +361,8 @@ def quotient_invariance_report(
     vals_l = value_batch(lifted, w, c)
     gsq_r = grad_norm_sq_batch(form, f, w, theta)
     gsq_l = grad_norm_sq_batch(form, lifted, w, c)
+    for vals in (vals_r, vals_l, gsq_r, gsq_l):
+        _require_finite(vals, f"{f.name} at t = {cfg.t:g}")
 
     fsq_r, fsq_l = vals_r * vals_r, vals_l * vals_l
     ent_r = _entropy_from_moments(float(np.mean(_xlogx(fsq_r))), float(np.mean(fsq_r)))

@@ -2,6 +2,9 @@
 
 All computation happens in an orthonormal coordinate basis of R^{2n}; a
 group variant is determined by a single skew nondegenerate matrix Omega.
+Each form computes its normal form Q^T Omega Q = (+)_j a_j [[0, 1], [-1, 0]]
+once, when it is built: the weights a_j > 0 and the orthogonal frame Q,
+which every reader of the spectrum (distance, levy-cf) uses.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from .group import GroupElement, ReducedElement
 
-# Relative floor for the smallest singular value; constructed forms are exact,
+# Relative floor for the smallest weight; constructed forms are exact,
 # this guards only user-supplied matrices.
 NONDEGENERACY_RTOL = 1e-12
 
@@ -28,9 +31,31 @@ __all__ = [
 ]
 
 
+def _normal_form(omega: np.ndarray):
+    """Orthogonal Q and weights a >= 0 with Q^T Omega Q = (+)_j a_j [[0, 1], [-1, 0]].
+
+    Forms built by the model already are in normal form (Q = I, so nothing
+    is rounded); any other skew form goes through the real Schur
+    decomposition, whose 2x2 blocks are oriented by swapping columns.
+    """
+    a = np.diagonal(omega[0::2, 1::2]).copy()
+    if np.all(a > 0.0) and np.array_equal(omega, _block_diag_form(a)):
+        return np.eye(omega.shape[0]), a
+    from scipy.linalg import schur
+
+    T, Q = schur(omega, output="real")
+    a = 0.5 * (np.diagonal(T, 1)[0::2] - np.diagonal(T, -1)[0::2])
+    for j in np.flatnonzero(a < 0.0):
+        Q[:, [2 * j, 2 * j + 1]] = Q[:, [2 * j + 1, 2 * j]]
+    return Q, np.abs(a)
+
+
 @dataclass(frozen=True)
 class SymplecticForm:
-    """Skew nondegenerate bilinear form omega(x, y) = x^T Omega y."""
+    """Skew nondegenerate bilinear form omega(x, y) = x^T Omega y.
+
+    `weights` (n,) and `frame` (2n, 2n) are its normal form, read-only.
+    """
 
     omega: np.ndarray
 
@@ -44,14 +69,14 @@ class SymplecticForm:
             raise ValueError("omega has non-finite entries")
         if not np.array_equal(om.T, -om):
             raise ValueError("omega must be exactly skew; build it as A - A.T")
-        sv = np.linalg.svd(om, compute_uv=False)
-        if sv[-1] <= NONDEGENERACY_RTOL * sv[0]:
+        frame, weights = _normal_form(om)
+        if weights.min() <= NONDEGENERACY_RTOL * weights.max():
             raise ValueError(
-                f"omega is degenerate: singular values span {sv[0]:.3e}..{sv[-1]:.3e}"
+                f"omega is degenerate: weights span {weights.max():.3e}..{weights.min():.3e}"
             )
-        om.setflags(write=False)
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "_sv_max", float(sv[0]))
+        for name, arr in (("omega", om), ("weights", weights), ("frame", frame)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -63,8 +88,8 @@ class SymplecticForm:
 
     @property
     def sv_max(self) -> float:
-        """Largest singular value; comass of the form."""
-        return self._sv_max
+        """Largest weight, which is the largest singular value; comass of the form."""
+        return float(self.weights.max())
 
     def pair(self, x, y) -> float:
         """omega(x, y); batched over leading axes when given stacked inputs."""

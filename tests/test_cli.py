@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -57,7 +58,7 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
         assert len(report["config"]) == 20
@@ -77,7 +78,7 @@ class TestSimulate:
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
         assert manifest["seed"] == 42
         assert "wall_time_s" in manifest and "generated_unix" in manifest
@@ -194,6 +195,16 @@ class TestExitCodes:
                                    "--set", "f = exp_linear(1000)", "--out", str(out)])
         assert res.exit_code == 2
         assert "error: heat-check: exp_linear(1000) at t = 1 " in res.stderr
+        assert "non-finite" in res.stderr
+        assert not out.exists()
+
+    def test_overflowing_quotient_observable_exits_two(self, runner, tmp_path):
+        # a row of nan/inf would otherwise blame quotient invariance
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["quotient-check", "--set", "m = 200", "--set", "N = 5",
+                                   "--set", "f = exp_linear(1000)", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "error: quotient-check: exp_linear(1000) at t = 1 " in res.stderr
         assert "non-finite" in res.stderr
         assert not out.exists()
 
@@ -386,3 +397,16 @@ class TestLevyCf:
             1.0 / __import__("math").cosh(0.25), rel=1e-12)
         assert (out / "cf_curve_t0.dat").exists()
         assert (out / "cf_reference_t0.dat").exists()
+
+    def test_reference_is_the_product_over_the_weights(self, runner, tmp_path):
+        # the exact weights, not singular values that round them
+        out = tmp_path / "cf"
+        res = runner.invoke(main, [
+            "levy-cf", "--set", "m = 200", "--set", "N = 5", "--set", "form = trace_class",
+            "--set", "weights = 1.3, 0.7, 2.9", "--set", "lambdas = 1", "--out", str(out),
+        ])
+        assert res.exit_code in (0, 1), res.output
+        row = json.loads(_read(out / "report.json"))["results"]["char_function"][0]
+        a = np.array([1.3, 0.7, 2.9])
+        assert (row["t"], row["lambda"]) == (1.0, 1.0)
+        assert row["reference"] == float(np.prod(1.0 / np.cosh(a * 1.0 * 1.0 / 2.0)))

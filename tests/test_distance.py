@@ -81,8 +81,9 @@ class TestCcDistance:
         assert res.c_residual == 0.0
         assert res.estimate == 5.0
         assert np.array_equal(res.path.nodes[-1], [3.0, 4.0])
-        est, path = res
-        assert est == 5.0 and path.segments == 64
+        assert res.path.segments == 64
+        # only reduced solves name a winding offset and fiber candidates
+        assert res.winning_k is None and res.candidates == ()
 
     def test_zero_target_shortcut(self, iso1):
         res = cc_distance(iso1, GroupElement([0.0, 0.0], 0.0), K=16)
@@ -156,8 +157,7 @@ class TestReducedDistance:
         assert res.converged
         ref = vertical_distance_reference(iso1, 0.05)
         assert ref - 1e-3 <= res.estimate <= 1.01 * ref
-        est, k = res
-        assert est == res.estimate and k == -1
+        assert res.path.length() == res.estimate
         ks = [k for k, _ in res.candidates]
         assert ks == list(range(-3, 4))
         evaluated = {k: e for k, e in res.candidates if e is not None}
@@ -181,6 +181,7 @@ class TestReducedDistance:
         assert red.winning_k == 0
         assert red.estimate == full.estimate
         assert red.candidates == ((0, full.estimate),)
+        assert full.winning_k is None and full.candidates == ()
 
     def test_negative_window_rejected(self, iso1):
         with pytest.raises(ValueError):

@@ -92,6 +92,51 @@ class TestSymplecticForm:
         assert np.array_equal(form.omega, np.array([[0.0, 4.0], [-4.0, 0.0]]))
 
 
+def _random_rotation(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diagonal(r))
+
+
+def _block_form(weights):
+    om = np.zeros((2 * len(weights), 2 * len(weights)))
+    for j, a in enumerate(weights):
+        om[2 * j, 2 * j + 1], om[2 * j + 1, 2 * j] = a, -a
+    return om
+
+
+class TestNormalForm:
+    @pytest.mark.parametrize("weights", [None, (0.25, 1.0, 4.0), (1.3, 0.7, 2.9)])
+    def test_model_forms_are_their_own_normal_form(self, weights):
+        form = make_isotropic_form(3) if weights is None else make_nonisotropic_form(weights)
+        weights = weights or (1.0, 1.0, 1.0)
+        assert np.array_equal(form.frame, np.eye(6))
+        assert np.array_equal(form.weights, weights)
+        assert form.sv_max == max(weights)
+        for arr in (form.weights, form.frame):
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+
+    def test_rotated_form_is_brought_back_to_blocks(self):
+        rng = np.random.default_rng(14)
+        for weights in ((1.0, 2.0), (0.5, 0.5, 3.0), (1.3, 0.7, 2.9)):
+            q = _random_rotation(rng, 2 * len(weights))
+            om = q @ _block_form(weights) @ q.T
+            form = SymplecticForm(0.5 * (om - om.T))
+            frame, a = form.frame, form.weights
+            assert np.allclose(frame.T @ frame, np.eye(form.dim), rtol=0, atol=1e-12)
+            assert np.allclose(frame.T @ form.omega @ frame, _block_form(a), rtol=0, atol=1e-12)
+            assert np.allclose(np.sort(a), np.sort(weights), rtol=0, atol=1e-12)
+            assert form.sv_max == a.max()
+
+    def test_rotated_degenerate_form_is_rejected(self):
+        rng = np.random.default_rng(15)
+        for weights in ((1.0, 0.0), (2.0, 0.0, 0.5), (0.0, 0.0, 1.0)):
+            q = _random_rotation(rng, 2 * len(weights))
+            om = q @ _block_form(weights) @ q.T
+            with pytest.raises(ValueError, match="degenerate"):
+                SymplecticForm(0.5 * (om - om.T))
+
+
 class TestProjection:
     @pytest.mark.parametrize(
         "indices",

@@ -23,6 +23,9 @@ from heislab.config import parse_config  # noqa: E402
 
 BASE = "m = 2000\nN = 50\nt = 0.5, 1\n"
 TRACE_CLASS = BASE + "form = trace_class\nweights = 1, 0.5"
+TRACE_CLASS_DISTANCE = (
+    "form = trace_class\nweights = 1, 0.5\ntarget_w = 1.5, 0.5, -0.8, 1.2\ntarget_c = 2.5\nK = 16"
+)
 LSI_ERRORS = (
     "m = 600\nN = 30\ndims = 1, 3\nf = exp_linear(1000), cos_theta, vertical_sq, poly_radial"
 )
@@ -41,6 +44,9 @@ PINNED = {
     "levy-cf": ("levy-cf", BASE, False),
     "trace-class-simulate": ("simulate", TRACE_CLASS, False),
     "trace-class-heat-check": ("heat-check", TRACE_CLASS, False),
+    "trace-class-levy-cf": ("levy-cf", TRACE_CLASS, False),
+    "trace-class-distance-G": ("distance", TRACE_CLASS_DISTANCE, False),
+    "trace-class-distance-Gtilde": ("distance", TRACE_CLASS_DISTANCE + "\nspace = Gtilde", False),
 }
 
 
