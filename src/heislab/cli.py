@@ -166,7 +166,7 @@ def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                     "std_error": rep.std_error,
                     "ddt_mean": rep.ddt.mean,
                     "half_generator_mean": rep.half_generator.mean,
-                    "pass": rep.residual <= 3.0 * rep.std_error,
+                    "pass": rep.passed,
                 }
             )
     return _Payload(

@@ -189,6 +189,17 @@ class TestExitCodes:
         assert "config error" in res.stderr and "gauss_bump" in res.stderr
         assert not out.exists()
 
+    def test_bump_flat_to_rounding_passes(self, runner, tmp_path):
+        # gauss_bump(1e77) is exactly 1 on every sample, so d/dt E f reads 0
+        # while 0.5 E[L f] is about -1e-154: below one ulp of f over 2 delta_t
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["heat-check", "--set", "m = 200", "--set", "N = 5",
+                                   "--set", "f = gauss_bump(1e77)", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        row, = json.loads(_read(out / "report.json"))["results"]["heat_check"]
+        assert row["ddt_mean"] == 0.0 and row["pass"] is True
+        assert 0.0 < abs(row["residual"]) < 1e-150
+
     def test_overflowing_observable_exits_two(self, runner, tmp_path):
         out = tmp_path / "o"
         res = runner.invoke(main, ["heat-check", "--set", "m = 200", "--set", "N = 10",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heislab import (
     PathConfig,
@@ -16,9 +18,49 @@ from heislab import (
     make_nonisotropic_form,
     make_registry_function,
     sample_unit_endpoints,
+    SymplecticForm,
     wrap_angle,
 )
+from heislab import diffusion
+from heislab.config import build_form, parse_config
 from heislab.diffusion import McEstimate
+
+from helpers import exact_skew, random_orthogonal
+
+
+def reference_walk(forms, steps, seed, m):
+    """The walk one sample at a time, each from a fresh Philox stream keyed
+    (seed, i): the per-sample formula the blocked walk must reproduce bit
+    for bit, rescaled to unit time as sample_unit_endpoints does."""
+    dim = forms[0].dim
+    w_hat = np.empty((m, dim))
+    c_hats = [np.empty(m) for _ in forms]
+    zero_row = np.zeros((1, dim))
+    for i in range(m):
+        key = np.array([seed, i], dtype=np.uint64)
+        z = np.random.Generator(np.random.Philox(key=key)).standard_normal((steps, dim))
+        s = np.cumsum(z, axis=0)
+        s_prev = np.concatenate([zero_row, s[:-1]], axis=0)
+        for ch, fm in zip(c_hats, forms):
+            ch[i] = 0.5 * np.einsum("kj,kj->", s_prev @ fm.omega, z)
+        w_hat[i] = s[-1]
+    return w_hat * (1.0 / math.sqrt(steps)), [ch / steps for ch in c_hats]
+
+
+def assert_walk_is_reference(forms, steps, seed, m, workers=1):
+    batches = sample_unit_endpoints(forms, steps=steps, base_seed=seed, m=m, workers=workers)
+    w_ref, c_refs = reference_walk(forms, steps, seed, m)
+    for b, c_ref in zip(batches, c_refs):
+        for i in range(m):
+            assert np.array_equal(b.w_hat[i], w_ref[i]), (steps, m, workers, i)
+            assert np.array_equal(b.c_hat[i], c_ref[i]), (steps, m, workers, i)
+
+
+def dense_form(n, seed):
+    """A skew form with no zero entries: a random rotation of a block form."""
+    q = random_orthogonal(np.random.default_rng(seed), 2 * n)
+    weights = np.linspace(1.0, 2.0, n)
+    return SymplecticForm(exact_skew(q @ make_nonisotropic_form(weights).omega @ q.T))
 
 
 class TestValidation:
@@ -107,6 +149,93 @@ class TestDeterminismAndStreams:
         assert np.array_equal(alone.c_hat, b_iso.c_hat)
 
 
+class TestBlockedWalk:
+    """Blocks of samples share arrays and NumPy calls but change no sample:
+    every row equals the per-sample formula bit for bit."""
+
+    STEPS = 64
+
+    def block(self, dim, steps=STEPS):
+        return diffusion._BLOCK_ELEMENTS // (steps * dim)
+
+    def test_one_sample(self, iso1):
+        assert_walk_is_reference([iso1], self.STEPS, 3, 1)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 37])
+    def test_around_one_block(self, offset):
+        form = make_nonisotropic_form((1.0, 3.0))
+        size = self.block(form.dim)
+        assert size > 37
+        assert_walk_is_reference([form], self.STEPS, 21, size + offset)
+
+    def test_several_blocks_and_a_part(self, iso1):
+        size = self.block(iso1.dim)
+        assert_walk_is_reference([iso1], self.STEPS, 22, 2 * size + 37)
+
+    def test_worker_chunks_end_mid_block(self, iso1):
+        # three workers cut 700 samples into 12 chunks of about 58, each
+        # shorter than a block, so every chunk ends inside its first block
+        assert self.block(iso1.dim) > 59
+        assert_walk_is_reference([iso1], self.STEPS, 23, 700, workers=3)
+
+    def test_two_forms_share_one_draw(self, iso2):
+        forms = [iso2, make_nonisotropic_form((0.5, 4.0))]
+        assert_walk_is_reference(forms, self.STEPS, 24, self.block(4) + 5)
+
+    def test_dense_form(self):
+        form = dense_form(3, seed=5)
+        assert np.count_nonzero(form.omega) == 30
+        assert_walk_is_reference([form, make_isotropic_form(3)], 20, 25, 300)
+
+    def test_trace_class_config_form(self):
+        cfg = parse_config("form = trace_class\nweights = 1, 0.25, 0.0625\n")
+        assert_walk_is_reference([build_form(cfg)], 40, 26, 150)
+
+    @pytest.mark.parametrize("steps", [4096, 4097])
+    def test_samples_beyond_the_einsum_buffer(self, iso1, steps):
+        # a sample of more than np.getbufsize() elements is reduced alone
+        assert_walk_is_reference([iso1], steps, 27, 9)
+
+
+class TestBlockedWalkProperties:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        steps=st.integers(1, 64),
+        m=st.integers(1, 200),
+        workers=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**64 - 1),
+        dense=st.booleans(),
+    )
+    def test_blocked_walk_is_the_per_sample_walk(self, n, steps, m, workers, seed, dense):
+        # below 256 samples a batch runs in one chunk whatever the worker
+        # count; TestBlockedWalk covers chunks that end mid-block
+        forms = [make_isotropic_form(n)]
+        if dense:
+            forms.append(dense_form(n, seed=n))
+        assert_walk_is_reference(forms, steps, seed, m, workers)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 2**64 - 1),
+        other=st.integers(0, 2**64 - 1),
+        used=st.integers(0, 9),
+        size=st.integers(1, 9),
+    )
+    def test_rekeyed_stream_is_a_fresh_stream(self, seed, index, other, used, size):
+        gen = np.random.Generator(np.random.Philox(0))
+        # use the generator for another sample first, leaving its buffer and
+        # a spare 32-bit word behind
+        diffusion._stream(seed, other, gen).standard_normal(used)
+        gen.integers(0, 2**32, size=2 * used + 1, dtype=np.uint32)
+        got = diffusion._stream(seed, index, gen)
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+        assert np.array_equal(got.standard_normal(size), fresh.standard_normal(size))
+        assert np.array_equal(got.integers(0, 2**32, size=3, dtype=np.uint32),
+                              fresh.integers(0, 2**32, size=3, dtype=np.uint32))
+
+
 class TestRescaling:
     def test_endpoint_scaling_is_exact_for_dyadic_ratios(self, iso1):
         b = sample_unit_endpoints([iso1], steps=64, base_seed=13, m=30)[0]
@@ -192,6 +321,18 @@ class TestHeatEquation:
         f = make_registry_function("gauss_bump(1.0)", 2)
         rep = heat_equation_report(iso1, cfg, f, m=batch_iso1.m, delta_t=0.95, batch=batch_iso1)
         assert rep.residual > 10.0 * rep.std_error
+        assert rep.resolution < 1e-15 and not rep.passed
+
+    def test_change_below_the_last_bit_passes(self, iso1):
+        # gauss_bump(1e77) rounds to 1 on every sample: the central difference
+        # reads exactly 0 while 0.5 E[L f] is about -1e-154, many standard
+        # errors away but far below what one ulp of f over 2 delta_t resolves
+        cfg = PathConfig(t=1.0, steps=5, base_seed=42)
+        f = make_registry_function("gauss_bump(1e77)", 2)
+        rep = heat_equation_report(iso1, cfg, f, m=200, delta_t=0.05)
+        assert rep.ddt.mean == 0.0 and rep.residual > 3.0 * rep.std_error
+        assert rep.resolution == pytest.approx(np.spacing(1.0) / 0.05, rel=1e-12)
+        assert rep.passed
 
 
 class TestAreaCharFunction:
