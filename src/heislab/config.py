@@ -63,7 +63,6 @@ class ExperimentConfig:
     c_ref: float = 4.0
     space: str = SPACE_FULL
     out: Optional[str] = None
-    delta_t: float = 0.05
     K: int = 64
     k_window: int = 3
     lambdas: Tuple[float, ...] = (0.5, 1.0, 2.0)
@@ -182,8 +181,6 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
         errors.append("seed must fit in 64 bits")
     if any(t <= 0 for t in cfg.t):
         errors.append("t values must be positive")
-    if cfg.delta_t <= 0:
-        errors.append("delta_t must be positive")
     if cfg.c_ref <= 0:
         errors.append("c_ref must be positive")
     if cfg.K < 2:

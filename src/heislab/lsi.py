@@ -149,13 +149,11 @@ def lsi_ratio(
     w = batch.w_at(cfg.t)[:m]
     v = batch.vertical_at(cfg.t, space)[:m]
     vals = value_batch(f, w, v)
-    if not np.all(np.isfinite(vals)):
-        raise RuntimeError(f"{f.name}: non-finite values in the entropy sample")
+    _require_finite(vals, f"{f.name} at t = {cfg.t:g}")
     fsq = vals * vals
     ylog = _xlogx(fsq)
     gsq = grad_norm_sq_batch(form, f, w, v)
-    if not np.all(np.isfinite(gsq)):
-        raise RuntimeError(f"{f.name}: non-finite horizontal gradients")
+    _require_finite(gsq, f"grad_H {f.name} at t = {cfg.t:g}")
     a, b, c = float(np.mean(ylog)), float(np.mean(fsq)), float(np.mean(gsq))
     cov = np.cov(np.stack([ylog, fsq, gsq]), ddof=1)
     h = _entropy_from_moments(a, b)

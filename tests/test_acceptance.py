@@ -64,7 +64,6 @@ QUOTIENT_TOL = 1e-12       # relative, pointwise quotient relations
 MC_SAMPLES = 200_000       # criterion batch: n=1, t=1, 1000 steps
 MC_STEPS = 1_000
 DISCRETE_ALLOWANCE = 0.25 / MC_STEPS  # documented O(1/N) bias of E[c^2]
-HEAT_DELTA_T = 0.05
 HEAT_FUNCTIONS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 RATIO_T_GRID = (0.5, 1.0, 2.0)
 SCAN_DIMS = tuple(range(1, 9))
@@ -273,9 +272,7 @@ def test_03_endpoint_statistics():
     residuals = []
     for sel in HEAT_FUNCTIONS:
         f = make_registry_function(sel, form.dim)
-        rep = heat_equation_report(
-            form, cfg, f, m=MC_SAMPLES, delta_t=HEAT_DELTA_T, batch=batch
-        )
+        rep = heat_equation_report(form, cfg, f, m=MC_SAMPLES, batch=batch)
         residuals.append((sel, rep.residual, 3.0 * rep.std_error))
     ok_heat = all(res <= bound for _, res, bound in residuals)
 
