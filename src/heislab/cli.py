@@ -49,7 +49,7 @@ from .group import GroupElement, ReducedElement, wrap_angle
 from .lsi import family_from_name, lsi_scan, quotient_invariance_report
 from .model import SymplecticForm
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 HEAT_DEFAULT_FS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 QUOTIENT_DEFAULT_FS = ("cos_theta",)
@@ -106,13 +106,13 @@ class _Payload:
 
 def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> _Payload:
     form = build_form(cfg)
-    batch = sample_unit_endpoints([form], cfg.N, cfg.seed, cfg.m, workers)[0]
+    batch = sample_unit_endpoints([form], None, cfg.seed, cfg.m, workers)[0]
     rows = []
     for t in cfg.t:
         mom = endpoint_moments(batch, t)
         for metric, est, expected in (
             ("hnorm_sq", mom["hnorm_sq"], mom["hnorm_sq_expected"]),
-            ("c_sq", mom["c_sq"], mom["c_sq_expected_discrete"]),
+            ("c_sq", mom["c_sq"], mom["c_sq_expected"]),
         ):
             gap = est.mean - expected
             z = gap / est.std_error if est.std_error > 0 else 0.0
@@ -127,7 +127,7 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
                     "pass": abs(gap) <= 3.0 * est.std_error,
                 }
             )
-    payload = _Payload(results={"moments": rows, "m": cfg.m, "N": cfg.N}, rows=rows)
+    payload = _Payload(results={"moments": rows, "m": cfg.m}, rows=rows)
     if dump_endpoints:
         t0 = cfg.t[0]
         w = batch.w_at(t0)
@@ -149,11 +149,11 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
 
 def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
     form = build_form(cfg)
-    batch = sample_unit_endpoints([form], cfg.N, cfg.seed, cfg.m, workers)[0]
+    batch = sample_unit_endpoints([form], None, cfg.seed, cfg.m, workers)[0]
     fs = [make_registry_function(sel, form.dim) for sel in cfg.f_or_default(HEAT_DEFAULT_FS)]
     rows = []
     for t in cfg.t:
-        pcfg = PathConfig(t=float(t), steps=cfg.N, base_seed=cfg.seed)
+        pcfg = PathConfig(t=float(t), base_seed=cfg.seed)
         for f in fs:
             rep = heat_equation_report(form, pcfg, f, cfg.m, workers=workers, batch=batch)
             rows.append(
@@ -167,7 +167,7 @@ def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                     "pass": rep.passed,
                 }
             )
-    return _Payload(results={"heat_check": rows, "m": cfg.m, "N": cfg.N}, rows=rows)
+    return _Payload(results={"heat_check": rows, "m": cfg.m}, rows=rows)
 
 
 def _run_lsi_scan(cfg: ExperimentConfig, workers: int) -> _Payload:
@@ -178,7 +178,6 @@ def _run_lsi_scan(cfg: ExperimentConfig, workers: int) -> _Payload:
         cfg.t,
         cfg.f_or_default(),
         cfg.m,
-        steps=cfg.N,
         base_seed=cfg.seed,
         c_ref=cfg.c_ref,
         space=cfg.space,
@@ -212,10 +211,10 @@ def _run_quotient_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                 [f"f = {sel} is not vertical-periodic; quotient-check needs periodic functions"]
             )
         fs.append(f)
-    batch = sample_unit_endpoints([form], cfg.N, cfg.seed, cfg.m, workers)[0]
+    batch = sample_unit_endpoints([form], None, cfg.seed, cfg.m, workers)[0]
     rows = []
     for t in cfg.t:
-        pcfg = PathConfig(t=float(t), steps=cfg.N, base_seed=cfg.seed)
+        pcfg = PathConfig(t=float(t), base_seed=cfg.seed)
         for f in fs:
             rep = quotient_invariance_report(form, pcfg, f, cfg.m, workers, batch)
             rows.append(
@@ -233,7 +232,7 @@ def _run_quotient_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                     "pass": rep.bitwise_equal,
                 }
             )
-    return _Payload(results={"quotient_check": rows, "m": cfg.m, "N": cfg.N}, rows=rows)
+    return _Payload(results={"quotient_check": rows, "m": cfg.m}, rows=rows)
 
 
 def _run_distance(cfg: ExperimentConfig) -> _Payload:
@@ -288,18 +287,16 @@ def _levy_reference(form: SymplecticForm, lam: float, t: float) -> float:
 
 def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
     form = build_form(cfg)
-    batch = sample_unit_endpoints([form], cfg.N, cfg.seed, cfg.m, workers)[0]
+    batch = sample_unit_endpoints([form], None, cfg.seed, cfg.m, workers)[0]
     rows = []
     extra = {}
     for idx, t in enumerate(cfg.t):
-        pcfg = PathConfig(t=float(t), steps=cfg.N, base_seed=cfg.seed)
+        pcfg = PathConfig(t=float(t), base_seed=cfg.seed)
         points = levy_area_char_function(form, pcfg, cfg.m, cfg.lambdas, workers, batch)
         first = len(rows)
         for pt in points:
             ref = _levy_reference(form, pt.lam, float(t))
-            # first-order allowance for the finite-step area variance deficit
-            allowance = (pt.lam ** 2) * (float(t) ** 2) * form.frobenius_sq() / (16.0 * cfg.N)
-            ok = abs(pt.cos_mean - ref) <= 3.0 * pt.cos_se + allowance and abs(
+            ok = abs(pt.cos_mean - ref) <= 3.0 * pt.cos_se + pt.allowance and abs(
                 pt.sin_mean
             ) <= 3.0 * pt.sin_se + 1e-12
             rows.append(
@@ -318,7 +315,7 @@ def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
             pairs = [(row["lambda"], row[col]) for row in rows[first:]]
             extra[f"{name}_t{idx}.dat"] = (f"lambda {col}", pairs)
     return _Payload(
-        results={"char_function": rows, "m": cfg.m, "N": cfg.N}, rows=rows, extra_files=extra
+        results={"char_function": rows, "m": cfg.m}, rows=rows, extra_files=extra
     )
 
 
@@ -450,9 +447,7 @@ def _load_config(config_path: Optional[str], overrides) -> ExperimentConfig:
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    for item in overrides:
-        text += "\n" + item
-    return parse_config(text)
+    return parse_config(text, overrides)
 
 
 def _common(fn):

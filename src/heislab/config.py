@@ -1,7 +1,7 @@
 """Experiment configuration: `key = value` lines, comments with `#`.
 
 Every key has a default, so the empty document is a valid experiment
-(n=1 isotropic, t=1, N=1000, m=200000, seed=42).  Unknown keys are
+(n=1 isotropic, t=1, m=200000, seed=42).  Unknown keys are
 errors — silent typos are worse than strictness — and parsing collects
 every problem in the document before raising, not just the first.
 
@@ -12,7 +12,7 @@ lines that parse back to an equal configuration.
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Tuple, Union, get_args, get_origin
+from typing import Optional, Sequence, Tuple, Union, get_args, get_origin
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class ExperimentConfig:
     n: int = 1
     projection: Optional[Tuple[int, ...]] = None
     t: Tuple[float, ...] = (1.0,)
-    N: int = 1000
+    N: int = 1000  # parsed and echoed, not read: every subcommand samples the exact law
     m: int = 200000
     seed: int = 42
     f: Tuple[str, ...] = ()  # empty means the subcommand's default selection
@@ -106,27 +106,31 @@ def _parse_value(kind, raw: str):
     return tuple(_parse_scalar(get_args(kind)[0], item) for item in items)
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Parse and fully validate a configuration document.
 
-    Raises ConfigError carrying one message per problem: unknown keys,
-    malformed values, inconsistent n/weights, and a failed bracket-
-    generation check for the configured projection.
+    `overrides` are the command line's `--set` items, applied after the
+    text; a message about one names the item instead of a line.  Raises
+    ConfigError carrying one message per problem: unknown keys, malformed
+    values, inconsistent n/weights, and a failed bracket-generation check
+    for the configured projection.
     """
     errors = []
     raw: dict = {}
     explicit = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = [(f"line {lineno}", line) for lineno, line in enumerate(text.splitlines(), start=1)]
+    lines += [(f"--set {item!r}", line) for item in overrides for line in item.splitlines()]
+    for where, line in lines:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            errors.append(f"line {lineno}: expected `key = value`, got {stripped!r}")
+            errors.append(f"{where}: expected `key = value`, got {stripped!r}")
             continue
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _FIELDS:
-            errors.append(f"line {lineno}: unknown key {key!r}")
+            errors.append(f"{where}: unknown key {key!r}")
             continue
         field = _FIELDS[key]
         if value == "":
@@ -135,13 +139,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 raw[key] = field.default
                 explicit.discard(key)
             else:
-                errors.append(f"line {lineno}: key {key!r} needs a value")
+                errors.append(f"{where}: key {key!r} needs a value")
             continue
         try:
             raw[key] = _parse_value(field.type, value)
             explicit.add(key)
         except (ValueError, TypeError) as exc:
-            errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
+            errors.append(f"{where}: bad value for {key!r}: {exc}")
 
     cfg = ExperimentConfig(**raw)
 

@@ -1,21 +1,34 @@
 """Hypoelliptic Brownian motion and Monte-Carlo expectation machinery.
 
-A path is N Gaussian increments dB_k ~ Normal(0, (t/N) I_{2n}); the endpoint
-carries the horizontal sum and the discrete area integral
+Two schemes sample the unit-time endpoint (w_hat, c_hat); the endpoint at
+time t is exactly (sqrt(t) * w_hat, t * c_hat), so one simulated batch serves
+a whole t grid with common random numbers, and d/dt of an observable along
+the path of endpoints is exact per sample.
+
+The exact scheme (`steps=None`) draws the continuum law plane by plane in
+each form's normal frame Q: with w = Q W, the area is c = sum_j a_j A_j,
+where A_j is the Levy area of the planar Brownian motion W_j.  Given W_j,
+Levy's formula makes A_j a logistic(s) bridge area, s = 1/(2 pi), plus for
+every k >= 1 Poisson(|W_j|^2) many Laplace(s/k) jumps (Levy 1951;
+Wiktorsson 2001).  N Laplace(b) jumps sum to b sqrt(2 G) Z with
+G ~ Gamma(N), so the terms k <= _LEVY_TERMS enter through one normal of
+variance 2 s^2 sum_k G_k / k^2; the terms k > _LEVY_TERMS through a Gaussian
+of the same variance, the only approximation.  The cost does not depend on
+N.  Chunk j of _EXACT_CHUNK samples draws from the Philox stream keyed
+(base_seed, j), and every chunk is drawn whole, so the bits depend on
+neither the worker count nor m beyond its prefix.
+
+The walk (`steps=N`) takes N Gaussian increments dB_k ~ Normal(0, (t/N)
+I_{2n}); the endpoint carries the horizontal sum and the discrete area
 
     w = sum_k dB_k,      c = 0.5 * sum_k omega(B_{k-1}, dB_k)
 
 (left-point rule; the midpoint correction 0.5*omega(dB, dB) vanishes because
-omega is skew).  Increments are sqrt(t/N) * Z with Z standard normal, so the
-endpoint at time t is exactly (sqrt(t) * w_hat, t * c_hat) where (w_hat,
-c_hat) is the unit-time endpoint of the same draws.  One simulated batch
-therefore serves a whole t grid with common random numbers, and d/dt of an
-observable along the path of endpoints is exact per sample.
-
-Determinism contract: sample i draws from a Philox stream keyed by
-(base_seed, i), starting at counter 0, so results are bit-identical
-regardless of execution order or worker count; per-sample values land in
-index-addressed slots and are reduced in a fixed order.
+omega is skew), whose E c^2 is (1 - 1/N) of the continuum one.  Stream
+contract: sample i draws from a Philox stream keyed by (base_seed, i),
+starting at counter 0, so results are bit-identical regardless of execution
+order or worker count; per-sample values land in index-addressed slots and
+are reduced in a fixed order.
 
 The walk runs in chunks of consecutive samples, one chunk per task.  A chunk
 builds one Philox generator and re-keys it for each sample, instead of
@@ -62,16 +75,16 @@ _SPACES = (SPACE_FULL, SPACE_REDUCED)
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Terminal time, step count, and the base seed of the run."""
+    """Terminal time, step count (None: the exact scheme), and the base seed."""
 
     t: float = 1.0
-    steps: int = 1000
+    steps: Optional[int] = None
     base_seed: int = 42
 
     def __post_init__(self):
         if not (self.t > 0 and math.isfinite(self.t)):
             raise ValueError("t must be positive and finite")
-        if self.steps < 1:
+        if self.steps is not None and self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not (0 <= self.base_seed < 2 ** 64):
             raise ValueError("base_seed must fit in 64 bits")
@@ -92,13 +105,27 @@ class McEstimate:
 # its working arrays stay small whatever m is.
 _BLOCK_ELEMENTS = 1 << 15
 
+# Samples per stream of the exact scheme; its working arrays are (chunk, n).
+_EXACT_CHUNK = 256
+# Scale of the unit-time bridge area's logistic law, and of its Laplace jumps.
+_S = 1.0 / (2.0 * math.pi)
+# Laplace jump terms drawn exactly.  The Gaussian that replaces the rest
+# misses their fourth cumulant, |W_j|^2 * 24 * sum_{k>K} (s/k)^4, which
+# bounds the error of E cos(lam c) by `_cf_allowance`: at K = 16,
+# 9.5e-8 * (lam a t)^4 per plane, 1.5e-6 at lam a t = 2, against a 3-se
+# band of about 3e-3 there at the default m = 200000.
+_LEVY_TERMS = 16
+_TAIL_SQ = math.pi ** 2 / 6.0 - sum(k ** -2.0 for k in range(1, _LEVY_TERMS + 1))
+_TAIL_4TH = math.pi ** 4 / 90.0 - sum(k ** -4.0 for k in range(1, _LEVY_TERMS + 1))
 
-def _stream(base_seed: int, sample_index: int, gen: np.random.Generator) -> np.random.Generator:
-    """`gen`, re-keyed to sample `sample_index`'s Philox stream: key
-    (base_seed, sample_index), counter 0, empty buffer."""
+
+def _stream(base_seed: int, index: int, gen: np.random.Generator) -> np.random.Generator:
+    """`gen`, re-keyed to the Philox stream with key (base_seed, index),
+    counter 0 and an empty buffer.  The walk keys one stream per sample, the
+    exact scheme one per chunk."""
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [base_seed, sample_index]},
+        "state": {"counter": [0, 0, 0, 0], "key": [base_seed, index]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -112,7 +139,7 @@ class EndpointBatch:
     """Unit-time endpoints of m paths; rescale to any t on demand."""
 
     form: SymplecticForm
-    steps: int
+    steps: Optional[int]  # None for the exact scheme
     w_hat: np.ndarray  # (m, 2n)
     c_hat: np.ndarray  # (m,)
 
@@ -162,24 +189,77 @@ def _fill_chunk(omegas, steps, base_seed, lo, hi, w_hat, c_hats):
         w_hat[a:b] = sb[:, -1]
 
 
+def _fill_exact(forms, frames, base_seed, chunks, m, c_hats):
+    """Chunks `chunks` of the exact scheme: (W_j, A_j) per plane of the
+    normal frame, then w = Q W for each distinct frame Q (None: the identity)
+    and c = sum_j a_j A_j for each form."""
+    n, size = forms[0].n, _EXACT_CHUNK
+    gen = np.random.Generator(np.random.Philox(0))
+    for chunk in chunks:
+        g = _stream(base_seed, chunk, gen)
+        W = g.standard_normal((size, n, 2))
+        r = W[..., 0] ** 2 + W[..., 1] ** 2
+        area = g.logistic(0.0, _S, (size, n))
+        var = r * _TAIL_SQ
+        for k in range(1, _LEVY_TERMS + 1):
+            var += g.standard_gamma(g.poisson(r)) / (k * k)
+        area += _S * np.sqrt(2.0 * var) * g.standard_normal((size, n))
+        lo, hi = chunk * size, min(chunk * size + size, m)
+        W = W.reshape(size, 2 * n)
+        for q, w_hat in frames:
+            w_hat[lo:hi] = (W if q is None else W @ q.T)[: hi - lo]
+        for fm, c_hat in zip(forms, c_hats):
+            # summed plane by plane, an order no BLAS kernel can change
+            c = fm.weights[0] * area[:, 0]
+            for j in range(1, n):
+                c += fm.weights[j] * area[:, j]
+            c_hat[lo:hi] = c[: hi - lo]
+
+
+def _cf_allowance(form: SymplecticForm, steps: Optional[int], lam: float, t: float) -> float:
+    """How far the sampled E cos(lam c_t) may sit from its continuum value.
+
+    The `steps`-step walk: lam^2 t^2 ||Omega||_F^2 / (16 N), first order in
+    its area variance deficit.  The exact scheme (`steps=None`): per plane,
+    E|W_j|^2 * (lam a_j t)^4 / 24 times the omitted fourth-cumulant sum
+    24 * sum_{k>K} (s/k)^4."""
+    if steps is not None:
+        return (lam ** 2) * (t ** 2) * form.frobenius_sq() / (16.0 * steps)
+    x = np.asarray(form.weights, dtype=float) * (lam * t)
+    return float(2.0 * _S ** 4 * _TAIL_4TH * np.sum(x ** 4))
+
+
+def _run_tasks(fill, count: int, workers: int) -> None:
+    """fill(lo, hi) over [0, count), in contiguous tasks over the workers."""
+    if workers == 1:
+        fill(0, count)
+        return
+    bounds = np.linspace(0, count, workers * 4 + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futs = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        for fut in futs:
+            fut.result()
+
+
 def sample_unit_endpoints(
     forms: Sequence[SymplecticForm],
-    steps: int,
+    steps: Optional[int],
     base_seed: int,
     m: int,
     workers: int = 1,
 ) -> list:
     """Simulate m unit-time endpoints, one area per supplied form.
 
-    Forms share the same Gaussian draws (they only weight the area), so
-    scanning several form families costs one set of normals.  Returns one
-    EndpointBatch per form.
+    `steps=None` draws the continuum law exactly; an integer draws the
+    `steps`-step walk.  Forms share the same draws (they only weight the
+    area), so scanning several form families costs one set of draws.
+    Returns one EndpointBatch per form.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if steps < 1:
+    if steps is not None and steps < 1:
         raise ValueError("steps must be >= 1")
     if not forms:
         raise ValueError("forms must not be empty")
@@ -187,25 +267,31 @@ def sample_unit_endpoints(
     for fm in forms:
         if fm.dim != dim:
             raise ValueError("all forms in one batch must share a dimension")
+    c_hats = [np.empty(m) for _ in forms]
+    workers = workers if m >= 256 else 1
+
+    if steps is None:
+        # forms with one frame share one w array
+        frames = {}
+        for fm in forms:
+            q = None if np.array_equal(fm.frame, np.eye(dim)) else fm.frame
+            frames.setdefault(fm.frame.tobytes(), (q, np.empty((m, dim))))
+        chunks = -(-m // _EXACT_CHUNK)
+        _run_tasks(
+            lambda lo, hi: _fill_exact(forms, frames.values(), base_seed, range(lo, hi), m, c_hats),
+            chunks, workers,
+        )
+        return [
+            EndpointBatch(form=fm, steps=None, w_hat=frames[fm.frame.tobytes()][1], c_hat=ch)
+            for fm, ch in zip(forms, c_hats)
+        ]
+
     omegas = [fm.omega for fm in forms]
     w_hat = np.empty((m, dim))
-    c_hats = [np.empty(m) for _ in forms]
-
-    if workers == 1 or m < 256:
-        _fill_chunk(omegas, steps, base_seed, 0, m, w_hat, c_hats)
-    else:
-        bounds = np.linspace(0, m, workers * 4 + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_fill_chunk, omegas, steps, base_seed, lo, hi, w_hat, c_hats)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for fut in futs:
-                fut.result()
-
-    inv_sqrt_n = 1.0 / math.sqrt(steps)
-    w_hat *= inv_sqrt_n
+    _run_tasks(
+        lambda lo, hi: _fill_chunk(omegas, steps, base_seed, lo, hi, w_hat, c_hats), m, workers
+    )
+    w_hat *= 1.0 / math.sqrt(steps)
     out = []
     for fm, ch in zip(forms, c_hats):
         ch /= steps
@@ -310,6 +396,7 @@ class CharFunctionPoint:
     cos_se: float
     sin_mean: float
     sin_se: float
+    allowance: float  # the sampling scheme's own bias bound on cos_mean
 
 
 def levy_area_char_function(
@@ -320,20 +407,28 @@ def levy_area_char_function(
     workers: int = 1,
     batch: Optional[EndpointBatch] = None,
 ) -> list:
-    """Empirical E[cos(lambda c_t)] per lambda; the sine channel is a
-    symmetry diagnostic and should vanish within noise."""
+    """Empirical E[cos(lambda c_t)] per lambda, with the bias the batch's
+    scheme allows it; the sine channel is a symmetry diagnostic and should
+    vanish within noise."""
     b = _ensure_batch(form, cfg, m, workers, batch)
     c = b.c_at(cfg.t)[:m]
     out = []
     for lam in lambdas:
         lam = float(lam)
         if lam == 0.0:
-            out.append(CharFunctionPoint(0.0, 1.0, 0.0, 0.0, 0.0))
+            out.append(CharFunctionPoint(0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
             continue
         cos_est = _mc_from_values(np.cos(lam * c))
         sin_est = _mc_from_values(np.sin(lam * c))
         out.append(
-            CharFunctionPoint(lam, cos_est.mean, cos_est.std_error, sin_est.mean, sin_est.std_error)
+            CharFunctionPoint(
+                lam,
+                cos_est.mean,
+                cos_est.std_error,
+                sin_est.mean,
+                sin_est.std_error,
+                _cf_allowance(form, b.steps, lam, cfg.t),
+            )
         )
     return out
 
@@ -341,17 +436,18 @@ def levy_area_char_function(
 def endpoint_moments(batch: EndpointBatch, t: float, m: Optional[int] = None) -> dict:
     """Second moments used by the simulate diagnostics.
 
-    Exact references for N steps: E[|w|^2] = 2n t and
-    E[c^2] = (t^2/8) ||Omega||_F^2 (1 - 1/N)  (partial-sum isometry).
+    Exact references: E[|w|^2] = 2n t and E[c^2] = (t^2/8) ||Omega||_F^2,
+    times (1 - 1/N) for the N-step walk (partial-sum isometry).
     """
     mm = batch.m if m is None else m
     w = batch.w_at(t)[:mm]
     c = batch.c_at(t)[:mm]
+    c_sq = (t * t / 8.0) * batch.form.frobenius_sq()
+    if batch.steps is not None:
+        c_sq *= 1.0 - 1.0 / batch.steps
     return {
         "hnorm_sq": _mc_from_values(np.einsum("ij,ij->i", w, w)),
         "c_sq": _mc_from_values(c * c),
         "hnorm_sq_expected": batch.form.dim * t,
-        "c_sq_expected_discrete": (t * t / 8.0)
-        * batch.form.frobenius_sq()
-        * (1.0 - 1.0 / batch.steps),
+        "c_sq_expected": c_sq,
     }

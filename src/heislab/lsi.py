@@ -247,7 +247,7 @@ def lsi_scan(
     t_list: Sequence[float],
     f_registry: Sequence[str],
     m: int,
-    steps: int = 1000,
+    steps: Optional[int] = None,
     base_seed: int = 42,
     c_ref: float = DEFAULT_C_REF,
     space: str = SPACE_FULL,
@@ -255,8 +255,9 @@ def lsi_scan(
 ) -> ScanResult:
     """Grid of lsi_ratio cells over (family, dimension, t, function).
 
-    All families at one dimension share the same Gaussian draws (only the
-    area weighting differs) and the whole t grid reuses them through exact
+    All families at one dimension share the same draws (only the area
+    weighting differs; `steps=None` samples the exact law, an integer the
+    walk) and the whole t grid reuses them through exact
     Brownian scaling, so the scan cost is one batch per dimension.  A cell
     whose observable is not integrable is reported with status "error"
     instead of aborting the scan.

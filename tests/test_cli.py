@@ -58,7 +58,7 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
         assert len(report["config"]) == 19
@@ -68,7 +68,9 @@ class TestSimulate:
         assert {row["metric"] for row in moments} == {"hnorm_sq", "c_sq"}
         by_key = {(row["t"], row["metric"]): row for row in moments}
         assert by_key[(1.0, "hnorm_sq")]["expected"] == 2.0
-        assert by_key[(1.0, "c_sq")]["expected"] == 0.25 * (1.0 - 1.0 / 50)
+        # the exact law's reference is the continuum one; N is not read
+        assert by_key[(1.0, "c_sq")]["expected"] == 0.25
+        assert "N" not in report["results"]
 
         csv_lines = _read(out / "summary.csv").splitlines()
         echo = [ln for ln in csv_lines if ln.startswith("# ")]
@@ -78,7 +80,7 @@ class TestSimulate:
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 3
+        assert manifest["schema_version"] == 4
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
         assert manifest["seed"] == 42
         assert "wall_time_s" in manifest and "generated_unix" in manifest
@@ -143,25 +145,51 @@ class TestReproducibility:
 
 class TestExitCodes:
     def test_failing_row_exits_one(self, runner, tmp_path):
-        # the N-step walk's E c^2 is (1 - 1/N) of the continuum one, so at
-        # N = 2 d/dt E[c^2] is half of 0.5 E[L c^2], far beyond the noise
-        out = tmp_path / "h"
+        # |w|^2's entropy/energy ratio at t = 1 is about 1, far above a
+        # log-Sobolev constant of 0.01
+        out = tmp_path / "s"
         res = runner.invoke(main, [
-            "heat-check", "--set", "m = 2000", "--set", "N = 2",
-            "--set", "f = vertical_sq", "--out", str(out),
+            "lsi-scan", "--set", "m = 400", "--set", "dims = 1", "--set", "scan_forms = isotropic",
+            "--set", "f = poly_radial", "--set", "c_ref = 0.01", "--out", str(out),
         ])
         assert res.exit_code == 1
         assert "FAIL" in res.output
         report = json.loads(_read(out / "report.json"))
         assert report["overall_pass"] is False
-        assert report["results"]["heat_check"][0]["pass"] is False
+        assert report["results"]["cells"][0]["passed"] is False
 
-    def test_unknown_key_exits_two(self, runner):
-        # delta_t was the central-difference step of heat-check
-        for sub, item in (("simulate", "bogus = 1"), ("heat-check", "delta_t = 0.05")):
-            res = runner.invoke(main, [sub, "--set", item])
+    def test_unknown_key_exits_two(self, runner, tmp_path):
+        # delta_t was the central-difference step of heat-check; there is no
+        # scheme key, every subcommand samples the exact law
+        out = tmp_path / "o"
+        for sub, item in (("simulate", "bogus = 1"), ("heat-check", "delta_t = 0.05"),
+                          ("simulate", "scheme = bogus")):
+            res = runner.invoke(main, [sub, "--set", item, "--out", str(out)])
             assert res.exit_code == 2
             assert "config error" in res.stderr and "unknown key" in res.stderr
+            assert not out.exists()
+
+    def test_override_error_names_the_item(self, runner, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("m = 300\nN = 50\nseed = 9\n", encoding="utf-8")
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["heat-check", "--config", str(cfg_file),
+                                   "--set", "delta_t = 0.1", "--set", "m = many",
+                                   "--set", "N =", "--set", "oops", "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.stderr.splitlines() == [
+            "config error: --set 'delta_t = 0.1': unknown key 'delta_t'",
+            "config error: --set 'm = many': bad value for 'm': "
+            "invalid literal for int() with base 10: 'many'",
+            "config error: --set 'N =': key 'N' needs a value",
+            "config error: --set 'oops': expected `key = value`, got 'oops'",
+        ]
+        assert not out.exists()
+        # a line of the file is still named by its number
+        cfg_file.write_text("m = 300\nN = 50\nbogus = 9\n", encoding="utf-8")
+        res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--set", "m = 400"])
+        assert res.exit_code == 2
+        assert res.stderr == "config error: line 3: unknown key 'bogus'\n"
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exits_two(self, runner, tmp_path, workers):
@@ -200,6 +228,18 @@ class TestExitCodes:
         row, = json.loads(_read(out / "report.json"))["results"]["heat_check"]
         assert row["pass"] is True
         assert 0.0 < abs(row["residual"]) < 1e-150
+
+    def test_exact_law_has_no_walk_bias(self, runner, tmp_path):
+        # the walk's (1 - 1/N) deficit in E c^2 fails vertical_sq at N = 20;
+        # every subcommand samples the exact law and does not read N
+        out = tmp_path / "o"
+        res = runner.invoke(main, [
+            "heat-check", "--set", "n = 8", "--set", "N = 20", "--set", "m = 20000",
+            "--set", "t = 0.25, 1, 2.5", "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        rows = json.loads(_read(out / "report.json"))["results"]["heat_check"]
+        assert len(rows) == 9 and all(row["pass"] for row in rows)
 
     def test_curved_bump_at_small_t_passes(self, runner, tmp_path):
         # gauss_bump is curved in t at small t, where d/dt along the dilation

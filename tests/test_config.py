@@ -100,6 +100,18 @@ class TestErrorCollection:
         assert any("m must be >= 2" in msg for msg in messages)
         assert isinstance(err.value, ValueError)
 
+    def test_overrides_are_named_by_their_text(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("m = 5\nbogus = 1\n", ["t = -1", "delta_t = 0.1", "m = x"])
+        assert err.value.errors[:3] == [
+            "line 2: unknown key 'bogus'",
+            "--set 'delta_t = 0.1': unknown key 'delta_t'",
+            "--set 'm = x': bad value for 'm': invalid literal for int() with base 10: 'x'",
+        ]
+        assert any("t values must be positive" in msg for msg in err.value.errors)
+        # a later override wins over the text
+        assert parse_config("m = 5\nseed = 3", ["m = 7"]) == parse_config("seed = 3\nm = 7")
+
     @pytest.mark.parametrize(
         "doc,needle",
         [

@@ -57,10 +57,10 @@ def assert_walk_is_reference(forms, steps, seed, m, workers=1):
             assert np.array_equal(b.c_hat[i], c_ref[i]), (steps, m, workers, i)
 
 
-def dense_form(n, seed):
+def dense_form(n, seed, weights=None):
     """A skew form with no zero entries: a random rotation of a block form."""
     q = random_orthogonal(np.random.default_rng(seed), 2 * n)
-    weights = np.linspace(1.0, 2.0, n)
+    weights = np.linspace(1.0, 2.0, n) if weights is None else weights
     return SymplecticForm(exact_skew(q @ make_nonisotropic_form(weights).omega @ q.T))
 
 
@@ -74,6 +74,7 @@ class TestValidation:
             PathConfig(steps=0)
         with pytest.raises(ValueError):
             PathConfig(base_seed=-1)
+        assert PathConfig(steps=None).steps is None  # the exact scheme
 
     def test_mc_estimate_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -99,24 +100,34 @@ class TestValidation:
             b.vertical_at(1.0, "H")
 
 
+# every determinism test runs on the walk (steps = 64) and the exact scheme
+SCHEMES = (64, None)
+
+
 class TestDeterminismAndStreams:
     def test_same_seed_is_bitwise_stable(self, iso1):
-        a = sample_unit_endpoints([iso1], steps=64, base_seed=9, m=50)[0]
-        b = sample_unit_endpoints([iso1], steps=64, base_seed=9, m=50)[0]
-        assert np.array_equal(a.w_hat, b.w_hat)
-        assert np.array_equal(a.c_hat, b.c_hat)
+        for steps in SCHEMES:
+            a = sample_unit_endpoints([iso1], steps=steps, base_seed=9, m=50)[0]
+            b = sample_unit_endpoints([iso1], steps=steps, base_seed=9, m=50)[0]
+            assert a.steps == steps
+            assert np.array_equal(a.w_hat, b.w_hat)
+            assert np.array_equal(a.c_hat, b.c_hat)
 
     def test_seed_changes_output(self, iso1):
-        a = sample_unit_endpoints([iso1], steps=64, base_seed=9, m=50)[0]
-        b = sample_unit_endpoints([iso1], steps=64, base_seed=10, m=50)[0]
-        assert not np.array_equal(a.c_hat, b.c_hat)
+        for steps in SCHEMES:
+            a = sample_unit_endpoints([iso1], steps=steps, base_seed=9, m=50)[0]
+            b = sample_unit_endpoints([iso1], steps=steps, base_seed=10, m=50)[0]
+            assert not np.array_equal(a.c_hat, b.c_hat)
 
-    def test_per_sample_streams_are_prefix_stable(self, iso1):
-        # enlarging m must not change the endpoints already drawn
-        small = sample_unit_endpoints([iso1], steps=64, base_seed=9, m=20)[0]
-        large = sample_unit_endpoints([iso1], steps=64, base_seed=9, m=100)[0]
-        assert np.array_equal(small.w_hat, large.w_hat[:20])
-        assert np.array_equal(small.c_hat, large.c_hat[:20])
+    def test_per_sample_streams_are_prefix_stable(self, iso2):
+        # enlarging m must not change the endpoints already drawn, also when
+        # the smaller run ends inside or at the end of an exact-scheme chunk
+        for steps in SCHEMES:
+            large = sample_unit_endpoints([iso2], steps=steps, base_seed=9, m=700)[0]
+            for small in (20, 256, 300):
+                b = sample_unit_endpoints([iso2], steps=steps, base_seed=9, m=small)[0]
+                assert np.array_equal(b.w_hat, large.w_hat[:small]), (steps, small)
+                assert np.array_equal(b.c_hat, large.c_hat[:small]), (steps, small)
 
     def test_single_path_matches_batch_row(self):
         # sample i is the walk driven by the Philox stream keyed (base_seed, i);
@@ -134,20 +145,28 @@ class TestDeterminismAndStreams:
             assert np.allclose(batch.w_hat[i], position / math.sqrt(steps), rtol=1e-12, atol=0)
             assert batch.c_hat[i] == pytest.approx(area / steps, rel=1e-12, abs=1e-14)
 
-    def test_worker_split_is_bitwise_equal(self, iso1):
-        serial = sample_unit_endpoints([iso1], steps=32, base_seed=5, m=512, workers=1)[0]
-        threaded = sample_unit_endpoints([iso1], steps=32, base_seed=5, m=512, workers=4)[0]
-        assert np.array_equal(serial.w_hat, threaded.w_hat)
-        assert np.array_equal(serial.c_hat, threaded.c_hat)
+    def test_worker_split_is_bitwise_equal(self):
+        # 1000 samples are four exact-scheme chunks, the last one partial;
+        # the rotated form maps W through a frame that is not the identity
+        forms = [make_isotropic_form(2), dense_form(2, seed=4)]
+        for steps in SCHEMES:
+            serial = sample_unit_endpoints(forms, steps=steps, base_seed=5, m=1000, workers=1)
+            for workers in (2, 3, 8):
+                threaded = sample_unit_endpoints(forms, steps=steps, base_seed=5, m=1000,
+                                                 workers=workers)
+                for a, b in zip(serial, threaded):
+                    assert np.array_equal(a.w_hat, b.w_hat), (steps, workers)
+                    assert np.array_equal(a.c_hat, b.c_hat), (steps, workers)
 
     def test_forms_share_draws(self, iso1):
         double = make_nonisotropic_form((2.0,))
-        b_iso, b_dbl = sample_unit_endpoints([iso1, double], steps=64, base_seed=7, m=40)
-        assert b_iso.w_hat is b_dbl.w_hat
-        # the area is linear in the form, and scaling by 2 is exact
-        assert np.array_equal(b_dbl.c_hat, 2.0 * b_iso.c_hat)
-        alone = sample_unit_endpoints([iso1], steps=64, base_seed=7, m=40)[0]
-        assert np.array_equal(alone.c_hat, b_iso.c_hat)
+        for steps in SCHEMES:
+            b_iso, b_dbl = sample_unit_endpoints([iso1, double], steps=steps, base_seed=7, m=40)
+            assert b_iso.w_hat is b_dbl.w_hat
+            # the area is linear in the form, and scaling by 2 is exact
+            assert np.array_equal(b_dbl.c_hat, 2.0 * b_iso.c_hat)
+            alone = sample_unit_endpoints([iso1], steps=steps, base_seed=7, m=40)[0]
+            assert np.array_equal(alone.c_hat, b_iso.c_hat)
 
 
 class TestBlockedWalk:
@@ -237,6 +256,95 @@ class TestBlockedWalkProperties:
                               fresh.integers(0, 2**32, size=3, dtype=np.uint32))
 
 
+def _planes(form, w):
+    """|W_j|^2 per plane j of the form's normal frame, for endpoints w."""
+    u = w @ form.frame
+    return u[:, 0::2] ** 2 + u[:, 1::2] ** 2
+
+
+class TestExactScheme:
+    """The exact scheme against the continuum law's closed forms, within
+    4 standard errors plus the derived truncation bound."""
+
+    T = 0.7
+    LAMBDAS = (0.5, 1.0, 2.0)
+
+    @pytest.fixture(
+        scope="class",
+        params=["isotropic", "ascending", "trace_class_rotated"],
+    )
+    def batch(self, request):
+        form = {
+            "isotropic": lambda: make_isotropic_form(3),
+            "ascending": lambda: make_nonisotropic_form((2.0, 3.0, 4.0)),
+            # trace-class weights j^-2 in a random frame, so frame != I
+            "trace_class_rotated": lambda: dense_form(3, seed=8, weights=(1.0, 0.25, 1.0 / 9.0)),
+        }[request.param]()
+        rotated = request.param == "trace_class_rotated"
+        assert np.array_equal(form.frame, np.eye(6)) != rotated
+        return sample_unit_endpoints([form], steps=None, base_seed=31, m=60000)[0]
+
+    @staticmethod
+    def within(values, expected, bound=0.0):
+        est = _mc_from(values)
+        assert abs(est.mean - expected) <= 4.0 * est.std_error + bound, (est, expected, bound)
+
+    def test_second_moments(self, batch):
+        t, form = self.T, batch.form
+        w, c = batch.w_at(t), batch.c_at(t)
+        self.within(np.einsum("ij,ij->i", w, w), form.dim * t)
+        self.within(c * c, (t * t / 8.0) * form.frobenius_sq())
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_characteristic_function(self, batch, lam):
+        t, form = self.T, batch.form
+        phi = float(np.prod(1.0 / np.cosh(form.weights * lam * t / 2.0)))
+        bound = diffusion._cf_allowance(form, None, lam, t)
+        self.within(np.cos(lam * batch.c_at(t)), phi, bound)
+        self.within(np.sin(lam * batch.c_at(t)), 0.0)
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_joint_law_with_the_planes(self, batch, lam):
+        # E[cos(lam c) |W_j|^2] = phi(lam) 2t tanh(x_j)/x_j, x_j = a_j lam t/2;
+        # the truncation error, weighted by |W_j|^2 <= E|W_i|^2 |W_j|^2 / E|W_i|^2,
+        # is at most 4t times that of E cos(lam c)
+        t, form = self.T, batch.form
+        x = form.weights * lam * t / 2.0
+        phi = float(np.prod(1.0 / np.cosh(x)))
+        bound = 4.0 * t * diffusion._cf_allowance(form, None, lam, t)
+        r = _planes(form, batch.w_at(t))
+        cos = np.cos(lam * batch.c_at(t))
+        for j in range(form.n):
+            self.within(cos * r[:, j], phi * 2.0 * t * math.tanh(x[j]) / x[j], bound)
+
+    def test_one_stream_per_chunk(self, monkeypatch):
+        keys = []
+        stream = diffusion._stream
+
+        def recording(seed, index, gen):
+            keys.append((seed, index))
+            return stream(seed, index, gen)
+
+        monkeypatch.setattr(diffusion, "_stream", recording)
+        m = 2 * diffusion._EXACT_CHUNK + 1
+        sample_unit_endpoints([make_isotropic_form(2)], steps=None, base_seed=6, m=m, workers=2)
+        assert sorted(keys) == [(6, 0), (6, 1), (6, 2)]
+
+    def test_forms_with_other_frames_get_their_own_w(self):
+        rotated = dense_form(2, seed=3)
+        b_iso, b_rot = sample_unit_endpoints(
+            [make_isotropic_form(2), rotated], steps=None, base_seed=4, m=300)
+        # the isotropic form's frame is the identity, so its w is W itself
+        np.testing.assert_allclose(b_rot.w_hat, b_iso.w_hat @ rotated.frame.T,
+                                   rtol=0, atol=1e-13)
+
+
+def _mc_from(values):
+    return McEstimate(mean=float(np.mean(values)),
+                      std_error=float(np.std(values, ddof=1) / math.sqrt(values.size)),
+                      m=values.size)
+
+
 class TestRescaling:
     def test_endpoint_scaling_is_exact_for_dyadic_ratios(self, iso1):
         b = sample_unit_endpoints([iso1], steps=64, base_seed=13, m=30)[0]
@@ -262,7 +370,7 @@ class TestMomentIdentities:
             assert abs(h.mean - 2.0 * t) <= 3.0 * h.std_error
             c2 = mom["c_sq"]
             expected = (t * t / 8.0) * iso1.frobenius_sq() * (1.0 - 1.0 / 400)
-            assert mom["c_sq_expected_discrete"] == pytest.approx(expected, rel=1e-15)
+            assert mom["c_sq_expected"] == pytest.approx(expected, rel=1e-15)
             assert abs(c2.mean - expected) <= 3.0 * c2.std_error
 
     def test_two_step_area_variance_closed_form(self, iso1):
@@ -270,8 +378,12 @@ class TestMomentIdentities:
         # moment is 2/16 = 0.125 -- an independent check of the 1-1/N factor
         b = sample_unit_endpoints([iso1], steps=2, base_seed=17, m=40000)[0]
         mom = endpoint_moments(b, 1.0)
-        assert mom["c_sq_expected_discrete"] == 0.125
+        assert mom["c_sq_expected"] == 0.125
         assert abs(mom["c_sq"].mean - 0.125) <= 3.0 * mom["c_sq"].std_error
+
+    def test_exact_reference_has_no_step_factor(self, iso2):
+        b = sample_unit_endpoints([iso2], steps=None, base_seed=17, m=10)[0]
+        assert endpoint_moments(b, 2.0)["c_sq_expected"] == (4.0 / 8.0) * iso2.frobenius_sq()
 
     def test_moment_subset(self, batch_iso1):
         mom_all = endpoint_moments(batch_iso1, 1.0)
@@ -337,6 +449,14 @@ class TestHeatEquation:
         ddt = diffusion._ddt_along_dilation(f, batch_iso1.w_at(1.0), batch_iso1.c_at(1.0), 1.0)
         assert rep.ddt.mean == float(np.mean(ddt))
 
+    def test_walk_bias_fails_at_two_steps(self, iso1):
+        # the 2-step walk's E c^2 is half the continuum one, so d/dt E[c^2] is
+        # half of 0.5 E[L c^2], far beyond the noise; the exact law passes
+        f = make_registry_function("vertical_sq", 2)
+        for steps, passed in ((2, False), (None, True)):
+            rep = heat_equation_report(iso1, PathConfig(t=1.0, steps=steps), f, m=2000)
+            assert rep.passed is passed
+
     def test_batch_from_another_form_is_rejected(self, iso1, batch_iso1):
         cfg = PathConfig(t=1.0, steps=400, base_seed=42)
         other = make_nonisotropic_form((3.0,))
@@ -363,9 +483,19 @@ class TestAreaCharFunction:
         assert pts[0].lam == 0.0 and pts[0].cos_mean == 1.0 and pts[0].cos_se == 0.0
         for p in pts[1:]:
             ref = 1.0 / math.cosh(0.5 * p.lam)  # continuum law at t = 1, n = 1
-            allowance = (p.lam ** 2) * iso1.frobenius_sq() / (16.0 * 400)
-            assert abs(p.cos_mean - ref) <= 3.0 * p.cos_se + allowance
+            assert p.allowance == (p.lam ** 2) * iso1.frobenius_sq() / (16.0 * 400)
+            assert abs(p.cos_mean - ref) <= 3.0 * p.cos_se + p.allowance
             assert abs(p.sin_mean) <= 3.0 * p.sin_se + 1e-12
+
+    def test_exact_scheme_needs_no_step_allowance(self):
+        form = make_nonisotropic_form((1.0, 2.5))
+        cfg = PathConfig(t=0.8, steps=None, base_seed=42)
+        pts = levy_area_char_function(form, cfg, m=40000, lambdas=(0.5, 1.0, 2.0))
+        for p in pts:
+            ref = float(np.prod(1.0 / np.cosh(form.weights * p.lam * 0.8 / 2.0)))
+            assert 0.0 < p.allowance < 0.01 * p.cos_se
+            assert abs(p.cos_mean - ref) <= 3.0 * p.cos_se + p.allowance
+            assert abs(p.sin_mean) <= 3.0 * p.sin_se
 
     def test_small_lambda_curvature_gives_area_variance(self, iso1, batch_iso1):
         # (1 - E cos(lam c)) / (lam^2/2) -> E[c^2] = t^2/4 as lam -> 0
