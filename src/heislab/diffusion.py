@@ -418,7 +418,9 @@ def levy_area_char_function(
         if lam == 0.0:
             out.append(CharFunctionPoint(0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
             continue
-        cos_est = _mc_from_values(np.cos(lam * c))
+        cos_vals = np.cos(lam * c)
+        _require_finite(cos_vals, f"cos({lam:g} c) at t = {cfg.t:g}")
+        cos_est = _mc_from_values(cos_vals)
         sin_est = _mc_from_values(np.sin(lam * c))
         out.append(
             CharFunctionPoint(
@@ -442,12 +444,15 @@ def endpoint_moments(batch: EndpointBatch, t: float, m: Optional[int] = None) ->
     mm = batch.m if m is None else m
     w = batch.w_at(t)[:mm]
     c = batch.c_at(t)[:mm]
-    c_sq = (t * t / 8.0) * batch.form.frobenius_sq()
+    hnorm_sq, c_sq = np.einsum("ij,ij->i", w, w), c * c
+    _require_finite(hnorm_sq, f"|w|^2 at t = {t:g}")
+    _require_finite(c_sq, f"c^2 at t = {t:g}")
+    c_sq_expected = (t * t / 8.0) * batch.form.frobenius_sq()
     if batch.steps is not None:
-        c_sq *= 1.0 - 1.0 / batch.steps
+        c_sq_expected *= 1.0 - 1.0 / batch.steps
     return {
-        "hnorm_sq": _mc_from_values(np.einsum("ij,ij->i", w, w)),
-        "c_sq": _mc_from_values(c * c),
+        "hnorm_sq": _mc_from_values(hnorm_sq),
+        "c_sq": _mc_from_values(c_sq),
         "hnorm_sq_expected": batch.form.dim * t,
-        "c_sq_expected": c_sq,
+        "c_sq_expected": c_sq_expected,
     }

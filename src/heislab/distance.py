@@ -26,6 +26,7 @@ When no top-weight block moves and even the closed-up turn falls short, a
 regular K-gon carries the rest of the area in one top block.  Vertical
 targets thus cost exactly (1 + g_K) 2 sqrt(pi |c| / sigma_max), g_K the
 regular K-gon's isoperimetric gap, and c = 0 gives the straight chord.
+The reduced distance is this one at the centred representative of theta.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "cc_distance_reduced",
     "distance_between",
     "vertical_distance_reference",
-    "fiber_lower_bound",
 ]
 
 
@@ -112,7 +112,8 @@ def lift(form: SymplecticForm, path: HorizontalPath) -> LiftedPath:
 @dataclass(frozen=True)
 class DistanceResult:
     """A solve's estimate and polygon; reduced solves also name the winning
-    winding offset and every (k, estimate or None when pruned) candidate."""
+    winding offset and list every (k, estimate) in the window, the estimate
+    None at every offset but the solved one."""
 
     estimate: float
     path: HorizontalPath
@@ -199,73 +200,28 @@ def cc_distance(form: SymplecticForm, target: GroupElement, K: int = 64) -> Dist
     return DistanceResult(path.length(), path, residual, abs(residual) <= C_TOL_REL * (1.0 + abs(c)))
 
 
-def _better(len_a, res_a, len_b, res_b, tol):
-    """True when candidate a beats b: feasibility first, then length."""
-    feas_a, feas_b = abs(res_a) <= tol, abs(res_b) <= tol
-    if feas_a != feas_b:
-        return feas_a
-    if feas_a:
-        return len_a < len_b
-    return abs(res_a) < abs(res_b) or (res_a == res_b and len_a < len_b)
-
-
-def fiber_lower_bound(form: SymplecticForm, w_norm: float, c: float) -> float:
-    """Valid lower bound for the distance to (w, c).
-
-    Any path to (w, c) closed by the straight chord back to the origin
-    bounds a loop of length L = len + |w| whose omega-area is exactly c,
-    and |c| <= sigma_max * L^2 / (4 pi) by the isoperimetric inequality for
-    the minimal spanning surface.  Hence len >= sqrt(4 pi |c| / sigma_max)
-    - |w|, and trivially len >= |w|.
-    """
-    iso = math.sqrt(4.0 * math.pi * abs(c) / form.sv_max) - w_norm
-    return max(w_norm, iso, 0.0)
-
-
 def cc_distance_reduced(
     form: SymplecticForm,
     target: ReducedElement,
     K: int = 64,
     k_window: int = 3,
 ) -> DistanceResult:
-    """Distance on the reduced group: minimum over fiber representatives.
+    """Distance on the reduced group, min over k of d(w, theta + 2 pi k).
 
-    Each winding offset k in [-k_window, k_window] names the full-group
-    target (w, theta + 2 pi k); candidates are solved in order of their
-    lower bound and skipped once the bound cannot beat the incumbent, so
-    typically only one to three solves run.
+    One solve, at the nearest fiber: k = -1 when k_window >= 1 and theta >
+    pi, else k = 0.  The least-length K-gon is even in c, since the polygon
+    run backwards from w, with nodes w - sigma_{K-i}, sweeps -c at the same
+    length; and nondecreasing in |c|, since the nodes (1 - s) chord + s
+    polygon sweep every area between 0 and c and are never longer than the
+    polygon.  So no farther fiber is shorter.  Every offset in [-k_window,
+    k_window] is still reported, with the estimate at the winner only.
     """
     if k_window < 0:
         raise ValueError("k_window must be >= 0")
-    w = np.asarray(target.w, dtype=float)
-    w_norm = float(np.linalg.norm(w))
-
-    cands = []
-    for k in range(-k_window, k_window + 1):
-        c_k = float(target.theta + TWO_PI * k)
-        cands.append((fiber_lower_bound(form, w_norm, c_k), k, c_k))
-    cands.sort(key=lambda item: (item[0], abs(item[1])))
-
-    best: Optional[DistanceResult] = None
-    best_k = 0
-    evaluated = []
-    for bound, k, c_k in cands:
-        if best is not None and bound >= best.estimate:
-            evaluated.append((k, None))
-            continue
-        res = cc_distance(form, GroupElement(w, c_k), K=K)
-        evaluated.append((k, res.estimate))
-        if best is None or _better(
-            res.estimate,
-            res.c_residual,
-            best.estimate,
-            best.c_residual,
-            C_TOL_REL * (1.0 + abs(c_k)),
-        ):
-            best, best_k = res, k
-
-    evaluated.sort(key=lambda item: item[0])
-    return replace(best, winning_k=best_k, candidates=tuple(evaluated))
+    k = -1 if k_window >= 1 and target.theta > math.pi else 0
+    res = cc_distance(form, GroupElement(target.w, target.theta + TWO_PI * k), K=K)
+    candidates = tuple((j, res.estimate if j == k else None) for j in range(-k_window, k_window + 1))
+    return replace(res, winning_k=k, candidates=candidates)
 
 
 def distance_between(

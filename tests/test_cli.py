@@ -58,7 +58,7 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
         assert len(report["config"]) == 19
@@ -80,7 +80,7 @@ class TestSimulate:
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 4
+        assert manifest["schema_version"] == 5
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
         assert manifest["seed"] == 42
         assert "wall_time_s" in manifest and "generated_unix" in manifest
@@ -270,6 +270,18 @@ class TestExitCodes:
                                    "--set", "f = exp_linear(1000)", "--out", str(out)])
         assert res.exit_code == 2
         assert "error: quotient-check: exp_linear(1000) at t = 1 " in res.stderr
+        assert "non-finite" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, what", [("simulate", "|w|^2"), ("levy-cf", "cos(0.5 c)")],
+                             ids=["simulate", "levy-cf"])
+    def test_overflowing_samples_exit_two(self, runner, tmp_path, sub, what):
+        # the moments and the characteristic function would otherwise be null rows
+        out = tmp_path / "o"
+        res = runner.invoke(main, [sub, "--set", "t = 1e308", "--set", "m = 100",
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert f"error: {sub}: {what} at t = 1e+308 " in res.stderr
         assert "non-finite" in res.stderr
         assert not out.exists()
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq, minimize
 
 from heislab import (
@@ -14,7 +15,6 @@ from heislab import (
     cc_distance,
     cc_distance_reduced,
     distance_between,
-    fiber_lower_bound,
     identity,
     lift,
     make_isotropic_form,
@@ -23,7 +23,9 @@ from heislab import (
     vertical_distance_reference,
     wrap_angle,
 )
+from heislab import distance
 from heislab.distance import C_TOL_REL
+from heislab.group import TWO_PI
 
 SQUARE_LOOP = np.array(
     [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
@@ -106,16 +108,6 @@ class TestCcDistance:
         assert ref - 1e-3 <= res.estimate <= 1.005 * ref
         assert lift(iso1, res.path).endpoint.c == pytest.approx(1.0, abs=2e-6)
 
-    def test_estimate_dominates_lower_bound(self, iso1):
-        rng = np.random.default_rng(52)
-        for _ in range(4):
-            w = 1.5 * rng.standard_normal(2)
-            c = 2.0 * rng.standard_normal()
-            res = cc_distance(iso1, GroupElement(w, c), K=32)
-            assert res.converged
-            bound = fiber_lower_bound(iso1, float(np.linalg.norm(w)), c)
-            assert res.estimate >= bound - 1e-9
-
     def test_refinement_never_hurts(self, iso1):
         target = GroupElement([1.2, -0.7], 0.8)
         coarse = cc_distance(iso1, target, K=16)
@@ -132,23 +124,6 @@ class TestCcDistance:
         assert res.path.length() == res.estimate
 
 
-class TestFiberBound:
-    def test_components(self, iso1):
-        assert fiber_lower_bound(iso1, 2.0, 0.0) == 2.0
-        pure = fiber_lower_bound(iso1, 0.0, 1.0)
-        assert pure == vertical_distance_reference(iso1, 1.0)
-        assert fiber_lower_bound(iso1, 0.0, 0.0) == 0.0
-        # large |w| makes the isoperimetric part vacuous
-        assert fiber_lower_bound(iso1, 10.0, 0.1) == 10.0
-
-    def test_weighted_form_uses_largest_singular_value(self):
-        form = make_isotropic_form(1)
-        strong = pytest.importorskip("heislab").make_nonisotropic_form((2.0,))
-        assert fiber_lower_bound(strong, 0.0, 1.0) == fiber_lower_bound(
-            form, 0.0, 0.5
-        )
-
-
 class TestReducedDistance:
     def test_unwinds_near_full_turn(self, iso1):
         theta = 2.0 * math.pi - 0.05
@@ -158,11 +133,8 @@ class TestReducedDistance:
         ref = vertical_distance_reference(iso1, 0.05)
         assert ref - 1e-3 <= res.estimate <= 1.01 * ref
         assert res.path.length() == res.estimate
-        ks = [k for k, _ in res.candidates]
-        assert ks == list(range(-3, 4))
-        evaluated = {k: e for k, e in res.candidates if e is not None}
-        assert -1 in evaluated  # the winner was actually solved
-        assert any(e is None for _, e in res.candidates)  # pruning happened
+        # every offset is reported; only the nearest fiber is solved
+        assert res.candidates == tuple((k, res.estimate if k == -1 else None) for k in range(-3, 4))
 
     def test_never_exceeds_full_distance(self, iso1):
         rng = np.random.default_rng(53)
@@ -186,6 +158,66 @@ class TestReducedDistance:
     def test_negative_window_rejected(self, iso1):
         with pytest.raises(ValueError):
             cc_distance_reduced(iso1, ReducedElement([0.0, 0.0], 1.0), k_window=-1)
+
+
+@st.composite
+def fiber_cases(draw):
+    """(form, w, K) over 1-3 blocks, w sometimes exactly 0, K from 3 to 64."""
+    ws = draw(st.lists(st.sampled_from((0.5, 1.0, 2.0, 2.5)), min_size=1, max_size=3))
+    coord = st.floats(-3.0, 3.0)
+    w = draw(st.one_of(st.just([0.0] * (2 * len(ws))), st.lists(coord, min_size=2 * len(ws),
+                                                                max_size=2 * len(ws))))
+    return make_nonisotropic_form(tuple(ws)), np.array(w), draw(st.integers(3, 64))
+
+
+FIBER_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+class TestNearestFiber:
+    """The K-gon estimate is even in c and nondecreasing in |c|, so the
+    reduced distance is one solve at the nearest fiber."""
+
+    @FIBER_SETTINGS
+    @given(fiber_cases(), st.floats(-20.0, 20.0))
+    def test_estimate_is_even_in_c(self, case, c):
+        form, w, K = case
+        plus = cc_distance(form, GroupElement(w, c), K=K)
+        minus = cc_distance(form, GroupElement(w, -c), K=K)
+        assert minus.estimate == pytest.approx(plus.estimate, rel=1e-12, abs=0.0)
+
+    @FIBER_SETTINGS
+    @given(fiber_cases(), st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+    def test_estimate_is_nondecreasing_in_abs_c(self, case, c1, c2):
+        form, w, K = case
+        near, far = sorted((c1, c2), key=abs)
+        r_near = cc_distance(form, GroupElement(w, near), K=K)
+        r_far = cc_distance(form, GroupElement(w, far), K=K)
+        if r_near.converged and r_far.converged:
+            assert r_near.estimate <= r_far.estimate * (1.0 + 1e-12)
+
+    @FIBER_SETTINGS
+    @given(fiber_cases(), st.floats(0.0, TWO_PI, exclude_max=True), st.integers(0, 3))
+    def test_reduced_is_the_least_fiber_in_one_solve(self, case, theta, k_window):
+        form, w, K = case
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cc_distance(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "cc_distance", counted)
+            red = cc_distance_reduced(form, ReducedElement(w, theta), K=K, k_window=k_window)
+        assert len(calls) == 1
+
+        window = range(-k_window, k_window + 1)
+        fibers = {k: cc_distance(form, GroupElement(w, theta + TWO_PI * k), K=K) for k in window}
+        least = min(res.estimate for res in fibers.values() if res.converged)
+        # fibers within rounding of the least one: at theta = pi, k = 0 and -1
+        tied = [k for k, res in fibers.items() if res.converged and res.estimate <= least * (1.0 + 1e-12)]
+        assert red.converged and red.winning_k in tied
+        assert red.estimate == fibers[red.winning_k].estimate
+        assert red.candidates == tuple((k, red.estimate if k == red.winning_k else None) for k in window)
 
 
 class TestBetweenPoints:

@@ -41,6 +41,7 @@ PINNED = {
     "quotient-check": ("quotient-check", BASE, False),
     "distance-G": ("distance", "target_c = 1.5\nK = 16", False),
     "distance-Gtilde": ("distance", "target_c = 1.5\nK = 16\nspace = Gtilde", False),
+    "distance-Gtilde-unwind": ("distance", "target_c = 5.5\nK = 16\nspace = Gtilde", False),
     "levy-cf": ("levy-cf", BASE, False),
     "trace-class-simulate": ("simulate", TRACE_CLASS, False),
     "trace-class-heat-check": ("heat-check", TRACE_CLASS, False),
