@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _FORM_KINDS = ("isotropic", "nonisotropic", "trace_class")
+# Largest polygon segment count.  The distance solver's arrays hold K + 1
+# nodes, so K = 10**8 asks for gigabytes; the cap keeps them to megabytes.
+_K_MAX = 100_000
 
 
 class ConfigError(ValueError):
@@ -189,6 +192,8 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
         errors.append("c_ref must be positive")
     if cfg.K < 2:
         errors.append("K must be >= 2")
+    elif cfg.K > _K_MAX:
+        errors.append(f"K must be <= {_K_MAX}")
     if cfg.k_window < 0:
         errors.append("k_window must be >= 0")
     if any(d < 1 for d in cfg.dims):

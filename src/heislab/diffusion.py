@@ -37,6 +37,11 @@ into one (B, N, 2n) array, then takes the partial sums, the products with
 each Omega and the area reductions once per block.  Every operation acts on
 each sample alone, in the order a single sample would use, so the block size
 changes no sample's bits.
+
+The per-sample kernels of the reports run the same way, block by block of
+rows (`_per_sample`): each block's (w, c) are bitwise those rows of
+`w_at(t)` and `c_at(t)`, the outputs join into (m,) vectors, and every
+reduction runs on the joined vectors, so no block size changes a bit.
 """
 
 from __future__ import annotations
@@ -49,7 +54,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 # `value_batch` is not called here.  It stays bound because the traced
-# benchmark (perfbench/worker.py, `Heat.run`) patches it by name.
+# benchmark (perfbench/worker.py, `Heat.run`) patches it by name.  It patches
+# `sub_laplacian_batch` too, so the heat report's kernel calls it by this
+# module's name, once per block.
 from .calculus import CylinderFunction, sub_laplacian_batch, value_batch
 from .group import wrap_angle
 from .model import SymplecticForm
@@ -101,8 +108,9 @@ class McEstimate:
             raise ValueError("an estimate needs at least 2 samples")
 
 
-# Bound on the elements (samples x steps x 2n) of one block of the walk, so
-# its working arrays stay small whatever m is.
+# Bound on the elements of one block, samples x steps x 2n for the walk and
+# samples x 2n for the per-sample kernels, so that their working arrays stay
+# small whatever m is.
 _BLOCK_ELEMENTS = 1 << 15
 
 # Samples per stream of the exact scheme; its working arrays are (chunk, n).
@@ -157,11 +165,40 @@ class EndpointBatch:
         return wrap_angle(self.c_at(t))
 
     def vertical_at(self, t: float, space: str) -> np.ndarray:
-        if space == SPACE_FULL:
-            return self.c_at(t)
-        if space == SPACE_REDUCED:
-            return self.theta_at(t)
-        raise ValueError(f"unknown space {space!r}; expected one of {_SPACES}")
+        return _vertical(self.c_at(t), space)
+
+
+def _vertical(c: np.ndarray, space: str) -> np.ndarray:
+    """The vertical coordinate in `space`: c itself on G, wrapped on G~."""
+    if space == SPACE_FULL:
+        return c
+    if space == SPACE_REDUCED:
+        return wrap_angle(c)
+    raise ValueError(f"unknown space {space!r}; expected one of {_SPACES}")
+
+
+def _per_sample(batch: EndpointBatch, t: float, m: int, kernel) -> list:
+    """kernel(w, c) -> per-sample arrays, over row blocks of the first m
+    endpoints at time t, joined into one (m,) vector per output.
+
+    Each block's w and c are bitwise its rows of `w_at(t)` and `c_at(t)`.  A
+    block has at least two rows: a lone row takes other numpy paths (a gemv
+    for `w @ Omega`, a SIMD-order sum in einsum) and may round differently.
+    """
+    rows = max(2, _BLOCK_ELEMENTS // batch.form.dim)
+    root = math.sqrt(t)
+    outs = None
+    lo = 0
+    while lo < m:
+        # a tail of one row joins the block before it
+        hi = m if m - lo < rows + 2 else lo + rows
+        vals = kernel(root * batch.w_hat[lo:hi], t * batch.c_hat[lo:hi])
+        if outs is None:
+            outs = [np.empty(m) for _ in vals]
+        for out, v in zip(outs, vals):
+            out[lo:hi] = v
+        lo = hi
+    return outs
 
 
 def _fill_chunk(omegas, steps, base_seed, lo, hi, w_hat, c_hats):
@@ -375,10 +412,10 @@ def heat_equation_report(
     """
     b = _ensure_batch(form, cfg, m, workers, batch)
     t = cfg.t
-    w, c = b.w_at(t)[:m], b.c_at(t)[:m]
-    ddt_vals = _ddt_along_dilation(f, w, c, t)
+    ddt_vals, lap_vals = _per_sample(
+        b, t, m, lambda w, c: (_ddt_along_dilation(f, w, c, t), sub_laplacian_batch(form, f, w, c))
+    )
     _require_finite(ddt_vals, f"d/dt {f.name} at t = {t:g}")
-    lap_vals = sub_laplacian_batch(form, f, w, c)
     _require_finite(lap_vals, f"L_H {f.name} at t = {t:g}")
     est = _mc_from_values(ddt_vals - 0.5 * lap_vals)
     return HeatCheckReport(
@@ -441,10 +478,8 @@ def endpoint_moments(batch: EndpointBatch, t: float, m: Optional[int] = None) ->
     Exact references: E[|w|^2] = 2n t and E[c^2] = (t^2/8) ||Omega||_F^2,
     times (1 - 1/N) for the N-step walk (partial-sum isometry).
     """
-    mm = batch.m if m is None else m
-    w = batch.w_at(t)[:mm]
-    c = batch.c_at(t)[:mm]
-    hnorm_sq, c_sq = np.einsum("ij,ij->i", w, w), c * c
+    mm = batch.m if m is None else min(m, batch.m)
+    hnorm_sq, c_sq = _per_sample(batch, t, mm, lambda w, c: (np.einsum("ij,ij->i", w, w), c * c))
     _require_finite(hnorm_sq, f"|w|^2 at t = {t:g}")
     _require_finite(c_sq, f"c^2 at t = {t:g}")
     c_sq_expected = (t * t / 8.0) * batch.form.frobenius_sq()

@@ -33,7 +33,9 @@ from .diffusion import (
     EndpointBatch,
     PathConfig,
     _ensure_batch,
+    _per_sample,
     _require_finite,
+    _vertical,
     sample_unit_endpoints,
 )
 from .model import SymplecticForm, make_isotropic_form, make_nonisotropic_form
@@ -146,14 +148,16 @@ def lsi_ratio(
     if space == SPACE_REDUCED and not f.periodic:
         raise ValueError(f"{f.name}: reduced-space functionals need a periodic function")
     batch = _ensure_batch(form, cfg, m, workers, batch)
-    w = batch.w_at(cfg.t)[:m]
-    v = batch.vertical_at(cfg.t, space)[:m]
-    vals = value_batch(f, w, v)
+
+    def kernel(w, c):
+        v = _vertical(c, space)
+        return value_batch(f, w, v), grad_norm_sq_batch(form, f, w, v)
+
+    vals, gsq = _per_sample(batch, cfg.t, m, kernel)
     _require_finite(vals, f"{f.name} at t = {cfg.t:g}")
+    _require_finite(gsq, f"grad_H {f.name} at t = {cfg.t:g}")
     fsq = vals * vals
     ylog = _xlogx(fsq)
-    gsq = grad_norm_sq_batch(form, f, w, v)
-    _require_finite(gsq, f"grad_H {f.name} at t = {cfg.t:g}")
     a, b, c = float(np.mean(ylog)), float(np.mean(fsq)), float(np.mean(gsq))
     cov = np.cov(np.stack([ylog, fsq, gsq]), ddof=1)
     h = _entropy_from_moments(a, b)
@@ -352,14 +356,13 @@ def quotient_invariance_report(
         raise ValueError(f"{f.name}: quotient comparison needs a periodic function")
     batch = _ensure_batch(form, cfg, m, workers, batch)
     lifted = compose_with_quotient(f)
-    w = batch.w_at(cfg.t)[:m]
-    c = batch.c_at(cfg.t)[:m]
-    theta = batch.theta_at(cfg.t)[:m]
 
-    vals_r = value_batch(f, w, theta)
-    vals_l = value_batch(lifted, w, c)
-    gsq_r = grad_norm_sq_batch(form, f, w, theta)
-    gsq_l = grad_norm_sq_batch(form, lifted, w, c)
+    def kernel(w, c):
+        theta = _vertical(c, SPACE_REDUCED)
+        return (value_batch(f, w, theta), value_batch(lifted, w, c),
+                grad_norm_sq_batch(form, f, w, theta), grad_norm_sq_batch(form, lifted, w, c))
+
+    vals_r, vals_l, gsq_r, gsq_l = _per_sample(batch, cfg.t, m, kernel)
     for vals in (vals_r, vals_l, gsq_r, gsq_l):
         _require_finite(vals, f"{f.name} at t = {cfg.t:g}")
 

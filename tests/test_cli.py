@@ -199,6 +199,14 @@ class TestExitCodes:
         assert "--workers" in res.stderr
         assert not out.exists()
 
+    def test_polygon_size_above_the_cap_exits_two(self, runner, tmp_path):
+        # an uncapped K sizes the solver's (K + 1)-node arrays to match
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["distance", "--set", "K = 100000000", "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.stderr == "config error: K must be <= 100000\n"
+        assert not out.exists()
+
     def test_non_finite_selector_parameter_exits_two(self, runner, tmp_path):
         # gauss_bump(inf) would otherwise run as the constant 1 and pass
         out = tmp_path / "o"

@@ -124,6 +124,7 @@ class TestErrorCollection:
             ("seed = -1", "seed"),
             ("seed = 18446744073709551616", "seed"),
             ("K = 1", "K must be >= 2"),
+            ("K = 100001", "K must be <= 100000"),
             ("k_window = -1", "k_window"),
             ("c_ref = 0", "c_ref"),
             ("dims = 0,1", "dims"),

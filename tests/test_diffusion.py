@@ -1,6 +1,7 @@
 """Endpoint sampling, moment identities, heat-equation and area-law checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,23 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heislab import (
+    HeatCheckReport,
     PathConfig,
+    QuotientInvarianceReport,
+    REGISTRY_DEFAULT_SELECTION,
     SPACE_FULL,
     SPACE_REDUCED,
+    compose_with_quotient,
     endpoint_moments,
     heat_equation_report,
     levy_area_char_function,
+    lsi_ratio,
     make_isotropic_form,
     make_nonisotropic_form,
     make_registry_function,
     multiply_functions,
+    quotient_invariance_report,
     sample_unit_endpoints,
     SymplecticForm,
     wrap_angle,
 )
-from heislab import diffusion
+from heislab import diffusion, lsi
+from heislab.calculus import grad_norm_sq_batch, sub_laplacian_batch, value_batch
 from heislab.config import build_form, parse_config
-from heislab.diffusion import McEstimate
+from heislab.diffusion import McEstimate, _mc_from_values
 
 from helpers import exact_skew, random_orthogonal
 
@@ -505,3 +513,167 @@ class TestAreaCharFunction:
         curvature = (1.0 - p.cos_mean) / (0.5 * lam * lam)
         tol = 3.0 * p.cos_se / (0.5 * lam * lam) + 1.0 / 400 + 1e-3
         assert abs(curvature - 0.25) <= tol
+
+
+# -- the reports' per-sample kernels, block by block of rows ----------------
+#
+# The whole-array formulas below are the reports' definitions: every
+# per-sample quantity on all m rows of w_at(t) and c_at(t) at once, then the
+# reductions.  The reports must reproduce them bit for bit.
+
+
+def whole_heat(form, f, b, t, m):
+    w, c = b.w_at(t)[:m], b.c_at(t)[:m]
+    ddt = diffusion._ddt_along_dilation(f, w, c, t)
+    lap = sub_laplacian_batch(form, f, w, c)
+    est = _mc_from_values(ddt - 0.5 * lap)
+    return HeatCheckReport(abs(est.mean), est.std_error, _mc_from_values(ddt),
+                           _mc_from_values(0.5 * lap))
+
+
+def whole_lsi(form, f, b, t, m, space):
+    """(entropy, entropy_se, energy, energy_se, ratio, ratio_se)."""
+    w = b.w_at(t)[:m]
+    v = b.c_at(t)[:m] if space == SPACE_FULL else b.theta_at(t)[:m]
+    vals, gsq = value_batch(f, w, v), grad_norm_sq_batch(form, f, w, v)
+    fsq = vals * vals
+    ylog = lsi._xlogx(fsq)
+    a, bb, c = float(np.mean(ylog)), float(np.mean(fsq)), float(np.mean(gsq))
+    cov = np.cov(np.stack([ylog, fsq, gsq]), ddof=1)
+    h = lsi._entropy_from_moments(a, bb)
+    d_b = -(1.0 + math.log(bb)) if bb > lsi._TINY else 0.0
+
+    def se(grad):
+        return math.sqrt(max(float(np.array(grad) @ cov @ np.array(grad)), 0.0) / m)
+
+    return (h, se([1.0, d_b, 0.0]), c, math.sqrt(max(float(cov[2, 2]), 0.0) / m),
+            h / c, se([1.0 / c, d_b / c, -h / (c * c)]))
+
+
+def whole_quotient(form, f, b, t, m):
+    w, c, theta = b.w_at(t)[:m], b.c_at(t)[:m], b.theta_at(t)[:m]
+    lifted = compose_with_quotient(f)
+    vr, vl = value_batch(f, w, theta), value_batch(lifted, w, c)
+    gr, gl = grad_norm_sq_batch(form, f, w, theta), grad_norm_sq_batch(form, lifted, w, c)
+    fr, fl = vr * vr, vl * vl
+    return QuotientInvarianceReport(
+        f.name, m, t, float(np.max(np.abs(vr - vl))), float(np.max(np.abs(gr - gl))),
+        float(np.mean(vr)), float(np.mean(vl)), float(np.mean(fr)), float(np.mean(fl)),
+        lsi._entropy_from_moments(float(np.mean(lsi._xlogx(fr))), float(np.mean(fr))),
+        lsi._entropy_from_moments(float(np.mean(lsi._xlogx(fl))), float(np.mean(fl))),
+        float(np.mean(gr)), float(np.mean(gl)),
+        bool(np.array_equal(vr, vl)), bool(np.array_equal(gr, gl)),
+    )
+
+
+def whole_moments(b, t, m):
+    w, c = b.w_at(t)[:m], b.c_at(t)[:m]
+    return _mc_from_values(np.einsum("ij,ij->i", w, w)), _mc_from_values(c * c)
+
+
+def default_rows(form):
+    return diffusion._BLOCK_ELEMENTS // form.dim
+
+
+class TestPerSampleBlocks:
+    """The reports run their per-sample kernels block by block of rows and
+    reduce the joined vectors, so block sizes change no bit."""
+
+    T = 1.7
+
+    @pytest.fixture(scope="class")
+    def batches(self):
+        dense = dense_form(3, 61, weights=(1.0, 2.0, 3.5))
+        assert not np.array_equal(dense.frame, np.eye(dense.dim))  # the Schur path
+        out = {}
+        for name, form, steps in (("iso8_walk", make_isotropic_form(8), 8),
+                                  ("aniso_exact", make_nonisotropic_form((1.0, 2.0, 3.5)), None),
+                                  ("dense_exact", dense, None)):
+            m = 3 * default_rows(form) + 5
+            out[name] = (form, sample_unit_endpoints([form], steps, 17, m)[0])
+        return out
+
+    @pytest.mark.parametrize("case", ["iso8_walk", "aniso_exact", "dense_exact"])
+    @pytest.mark.parametrize("block", ["default", "one_row", "whole"])
+    def test_reports_equal_the_whole_array_formulas(self, batches, monkeypatch, case, block):
+        form, b = batches[case]
+        t, m = self.T, b.m  # m = 3 default blocks + 5 samples
+        if block == "one_row":
+            # asks for one-row blocks; an odd m leaves a lone row at the end
+            monkeypatch.setattr(diffusion, "_BLOCK_ELEMENTS", 1)
+            m = 101
+        elif block == "whole":
+            monkeypatch.setattr(diffusion, "_BLOCK_ELEMENTS", form.dim * m)
+        cfg = PathConfig(t=t, steps=b.steps, base_seed=17)
+        mom = endpoint_moments(b, t, m)
+        assert (repr(mom["hnorm_sq"]), repr(mom["c_sq"])) == tuple(map(repr, whole_moments(b, t, m)))
+        for sel in REGISTRY_DEFAULT_SELECTION:
+            f = make_registry_function(sel, form.dim)
+            rep = heat_equation_report(form, cfg, f, m, batch=b)
+            assert repr(rep) == repr(whole_heat(form, f, b, t, m)), sel
+            spaces = (SPACE_FULL, SPACE_REDUCED) if f.periodic else (SPACE_FULL,)
+            for space in spaces:
+                r = lsi_ratio(form, cfg, f, m, space=space, batch=b)
+                got = (r.entropy, r.entropy_se, r.energy, r.energy_se, r.ratio, r.ratio_se)
+                want = whole_lsi(form, f, b, t, m, space)
+                if r.ratio is None:
+                    want = want[:4] + (None, None)
+                assert repr(got) == repr(want), (sel, space)
+            if f.periodic:
+                rep = quotient_invariance_report(form, cfg, f, m, batch=b)
+                assert rep.bitwise_equal
+                assert repr(rep) == repr(whole_quotient(form, f, b, t, m)), sel
+
+    @pytest.mark.parametrize("elements, m", [(1, 2), (1, 7), (8, 9), (8, 10), (8, 12), (8, 13)])
+    def test_blocks_cover_the_rows_and_never_leave_one_alone(self, iso1, monkeypatch, elements, m):
+        # rows per block = elements // dim, at least 2; dim = 2 here
+        monkeypatch.setattr(diffusion, "_BLOCK_ELEMENTS", elements)
+        b = sample_unit_endpoints([iso1], None, 3, m)[0]
+        seen = []
+
+        def kernel(w, c):
+            seen.append(c.shape[0])
+            return np.arange(c.shape[0]), w[:, 0], c
+
+        index, w0, c = diffusion._per_sample(b, 2.0, m, kernel)
+        rows = max(2, elements // 2)
+        assert sum(seen) == m and min(seen) >= min(2, m) and max(seen) <= rows + 1
+        assert all(k == rows for k in seen[:-1])
+        assert np.array_equal(index, np.concatenate([np.arange(k) for k in seen]))
+        assert np.array_equal(w0, b.w_at(2.0)[:, 0]) and np.array_equal(c, b.c_at(2.0))
+
+
+class TestReportMemory:
+    """No report builds a whole-batch (m, 2n) temporary: each one's traced
+    peak stays below the size of one such array."""
+
+    N, M = 8, 20000
+
+    @pytest.fixture(scope="class")
+    def heat_batch(self):
+        form = make_isotropic_form(self.N)
+        return form, sample_unit_endpoints([form], None, 20251203, self.M)[0]
+
+    @pytest.mark.parametrize("report", ["heat", "lsi", "quotient"])
+    def test_peak_below_one_batch_array(self, heat_batch, report):
+        form, b = heat_batch
+        cfg = PathConfig(t=1.25, steps=None, base_seed=20251203)
+        one_array = self.M * form.dim * 8
+        calls = []
+        for sel in REGISTRY_DEFAULT_SELECTION:
+            f = make_registry_function(sel, form.dim)
+            if report == "heat":
+                calls.append(lambda f=f: heat_equation_report(form, cfg, f, self.M, batch=b))
+            elif report == "lsi":
+                for space in (SPACE_FULL, SPACE_REDUCED) if f.periodic else (SPACE_FULL,):
+                    calls.append(lambda f=f, s=space: lsi_ratio(form, cfg, f, self.M, space=s, batch=b))
+            elif f.periodic:
+                calls.append(lambda f=f: quotient_invariance_report(form, cfg, f, self.M, batch=b))
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < one_array, (report, peak)

@@ -111,6 +111,12 @@ class TestDegenerateInputs:
             lsi_ratio(iso1, CFG, make_registry_function("vertical_sq", 2),
                       m=100, space=SPACE_REDUCED, batch=batch_iso1)
 
+    @pytest.mark.parametrize("selector", ["cos_theta", "vertical_sq"])
+    def test_unknown_space_is_rejected(self, iso1, batch_iso1, selector):
+        f = make_registry_function(selector, 2)
+        with pytest.raises(ValueError, match="unknown space 'H'"):
+            lsi_ratio(iso1, CFG, f, m=100, space="H", batch=batch_iso1)
+
 
 class TestScaleInvariance:
     @pytest.mark.parametrize("alpha", [1e-3, 1e3])
