@@ -80,11 +80,11 @@ class CylinderFunction:
         rng = np.random.Generator(np.random.Philox(key=np.array([7, 11], dtype=np.uint64)))
         wp = rng.standard_normal((8, self.projection.size))
         th = rng.uniform(0.0, 2.0 * math.pi, size=8)
-        a = np.asarray(self.F(wp, th), float)
-        b = np.asarray(self.F(wp, th + 2.0 * math.pi), float)
         # equal values match, infinities included; finite ones may differ by
         # rounding relative to their own size; a NaN matches nothing
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.asarray(self.F(wp, th), float)
+            b = np.asarray(self.F(wp, th + 2.0 * math.pi), float)
             diff = np.abs(a - b)
         close = (a == b) | (np.isfinite(diff) & (diff <= _PERIODICITY_TOL * (1.0 + np.abs(a))))
         if not np.all(close):

@@ -49,7 +49,7 @@ from .group import GroupElement, ReducedElement, wrap_angle
 from .lsi import family_from_name, lsi_scan, quotient_invariance_report
 from .model import SymplecticForm
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 HEAT_DEFAULT_FS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 QUOTIENT_DEFAULT_FS = ("cos_theta",)
@@ -242,15 +242,8 @@ def _run_distance(cfg: ExperimentConfig) -> _Payload:
         raise ConfigError(
             [f"target_w has {w.size} entries but the form needs {form.dim}"]
         )
-    fibers = {}
     if cfg.space == SPACE_REDUCED:
-        res = cc_distance_reduced(
-            form,
-            ReducedElement(w, float(wrap_angle(cfg.target_c))),
-            K=cfg.K,
-            k_window=cfg.k_window,
-        )
-        fibers["fiber_candidates"] = [{"k": k, "estimate": est} for k, est in res.candidates]
+        res = cc_distance_reduced(form, ReducedElement(w, wrap_angle(cfg.target_c)), K=cfg.K)
     else:
         res = cc_distance(form, GroupElement(w, float(cfg.target_c)), K=cfg.K)
     row = {
@@ -262,7 +255,7 @@ def _run_distance(cfg: ExperimentConfig) -> _Payload:
         "pass": res.converged,
     }
     results = {key: val for key, val in row.items() if key != "pass"}
-    results.update(path_csv_ref="path.csv", **fibers)
+    results["path_csv_ref"] = "path.csv"
 
     lifted = lift(form, res.path)
     path_rows = [

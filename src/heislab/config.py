@@ -18,7 +18,7 @@ import numpy as np
 
 from .calculus import REGISTRY_DEFAULT_SELECTION, make_registry_function
 from .diffusion import SPACE_FULL, SPACE_REDUCED
-from .lsi import family_from_name
+from .lsi import DEFAULT_C_REF, family_from_name
 from .model import (
     Projection,
     SymplecticForm,
@@ -59,15 +59,14 @@ class ExperimentConfig:
     n: int = 1
     projection: Optional[Tuple[int, ...]] = None
     t: Tuple[float, ...] = (1.0,)
-    N: int = 1000  # parsed and echoed, not read: every subcommand samples the exact law
+    N: int = 1000  # not read, as every subcommand samples the exact law; the benchmark sets it
     m: int = 200000
     seed: int = 42
     f: Tuple[str, ...] = ()  # empty means the subcommand's default selection
-    c_ref: float = 4.0
+    c_ref: float = DEFAULT_C_REF
     space: str = SPACE_FULL
     out: Optional[str] = None
     K: int = 64
-    k_window: int = 3
     lambdas: Tuple[float, ...] = (0.5, 1.0, 2.0)
     dims: Tuple[int, ...] = (1, 2, 3, 4)
     scan_forms: Tuple[str, ...] = ("isotropic", "ascending_weights")
@@ -194,8 +193,6 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
         errors.append("K must be >= 2")
     elif cfg.K > _K_MAX:
         errors.append(f"K must be <= {_K_MAX}")
-    if cfg.k_window < 0:
-        errors.append("k_window must be >= 0")
     if any(d < 1 for d in cfg.dims):
         errors.append("dims must be >= 1")
     if cfg.space not in (SPACE_FULL, SPACE_REDUCED):

@@ -164,9 +164,6 @@ class EndpointBatch:
     def theta_at(self, t: float) -> np.ndarray:
         return wrap_angle(self.c_at(t))
 
-    def vertical_at(self, t: float, space: str) -> np.ndarray:
-        return _vertical(self.c_at(t), space)
-
 
 def _vertical(c: np.ndarray, space: str) -> np.ndarray:
     """The vertical coordinate in `space`: c itself on G, wrapped on G~."""
@@ -192,7 +189,8 @@ def _per_sample(batch: EndpointBatch, t: float, m: int, kernel) -> list:
     while lo < m:
         # a tail of one row joins the block before it
         hi = m if m - lo < rows + 2 else lo + rows
-        vals = kernel(root * batch.w_hat[lo:hi], t * batch.c_hat[lo:hi])
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by `_require_finite`
+            vals = kernel(root * batch.w_hat[lo:hi], t * batch.c_hat[lo:hi])
         if outs is None:
             outs = [np.empty(m) for _ in vals]
         for out, v in zip(outs, vals):
@@ -348,7 +346,7 @@ def _require_finite(values: np.ndarray, what: str) -> None:
     if np.any(bad):
         raise RuntimeError(
             f"{what} produced {int(bad.sum())} non-finite values out of {values.size}; "
-            "the observable is not integrable at these parameters"
+            "the values overflowed or turned NaN at these parameters"
         )
 
 
@@ -448,27 +446,28 @@ def levy_area_char_function(
     scheme allows it; the sine channel is a symmetry diagnostic and should
     vanish within noise."""
     b = _ensure_batch(form, cfg, m, workers, batch)
-    c = b.c_at(cfg.t)[:m]
     out = []
-    for lam in lambdas:
-        lam = float(lam)
-        if lam == 0.0:
-            out.append(CharFunctionPoint(0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
-            continue
-        cos_vals = np.cos(lam * c)
-        _require_finite(cos_vals, f"cos({lam:g} c) at t = {cfg.t:g}")
-        cos_est = _mc_from_values(cos_vals)
-        sin_est = _mc_from_values(np.sin(lam * c))
-        out.append(
-            CharFunctionPoint(
-                lam,
-                cos_est.mean,
-                cos_est.std_error,
-                sin_est.mean,
-                sin_est.std_error,
-                _cf_allowance(form, b.steps, lam, cfg.t),
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by `_require_finite`
+        c = b.c_at(cfg.t)[:m]
+        for lam in lambdas:
+            lam = float(lam)
+            if lam == 0.0:
+                out.append(CharFunctionPoint(0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+                continue
+            cos_vals = np.cos(lam * c)
+            _require_finite(cos_vals, f"cos({lam:g} c) at t = {cfg.t:g}")
+            cos_est = _mc_from_values(cos_vals)
+            sin_est = _mc_from_values(np.sin(lam * c))
+            out.append(
+                CharFunctionPoint(
+                    lam,
+                    cos_est.mean,
+                    cos_est.std_error,
+                    sin_est.mean,
+                    sin_est.std_error,
+                    _cf_allowance(form, b.steps, lam, cfg.t),
+                )
             )
-        )
     return out
 
 

@@ -24,7 +24,7 @@ eps = pi - K psi_top / 2, which keeps the closing sine sin(eps) exact for
 top blocks that barely move; the sign of c sets the turning direction.
 When no top-weight block moves and even the closed-up turn falls short, a
 regular K-gon carries the rest of the area in one top block.  Vertical
-targets thus cost exactly (1 + g_K) 2 sqrt(pi |c| / sigma_max), g_K the
+targets thus cost exactly (1 + g_K) 2 sqrt(pi |c| / a_max), g_K the
 regular K-gon's isoperimetric gap, and c = 0 gives the straight chord.
 The reduced distance is this one at the centred representative of theta.
 """
@@ -58,7 +58,6 @@ __all__ = [
     "cc_distance",
     "cc_distance_reduced",
     "distance_between",
-    "vertical_distance_reference",
 ]
 
 
@@ -213,8 +212,12 @@ def cc_distance_reduced(
     run backwards from w, with nodes w - sigma_{K-i}, sweeps -c at the same
     length; and nondecreasing in |c|, since the nodes (1 - s) chord + s
     polygon sweep every area between 0 and c and are never longer than the
-    polygon.  So no farther fiber is shorter.  Every offset in [-k_window,
-    k_window] is still reported, with the estimate at the winner only.
+    polygon.  So no farther fiber is shorter.
+
+    `k_window` and the result's `candidates`, every offset in [-k_window,
+    k_window] with the estimate at the winner only, add nothing to that
+    answer.  They remain because the benchmark (perfbench/worker.py) passes
+    the one and reads the other; the CLI passes neither.
     """
     if k_window < 0:
         raise ValueError("k_window must be >= 0")
@@ -233,13 +236,3 @@ def distance_between(
     """Left-invariant distance d(g1, g2) = d(e, g1^{-1} g2)."""
     return cc_distance(form, multiply(form, inverse(form, g1), g2), K=K)
 
-
-def vertical_distance_reference(form: SymplecticForm, c: float) -> float:
-    """Smooth-geodesic distance to the purely vertical point (0, c).
-
-    The optimal path is a circle of area |c| / sigma_max in the most
-    area-efficient conjugate plane; its perimeter is 2 sqrt(pi |c| /
-    sigma_max).  A K-segment polygon exceeds this by the regular-polygon
-    isoperimetric gap (about +0.08% at K = 64).
-    """
-    return 2.0 * math.sqrt(math.pi * abs(c) / form.sv_max)

@@ -34,7 +34,6 @@ __all__ = [
     "inverse",
     "multiply_reduced",
     "quotient",
-    "exp_group",
     "bracket",
 ]
 
@@ -167,11 +166,6 @@ def multiply_reduced(
 def quotient(g: GroupElement) -> ReducedElement:
     """Project to the reduced group: (w, c) -> (w, c mod 2*pi)."""
     return ReducedElement(g.w, wrap_angle(g.c))
-
-
-def exp_group(X: LieVector) -> GroupElement:
-    """Exponential map; the identity on coordinates for a step-2 group."""
-    return GroupElement(X.A.copy(), X.a)
 
 
 def bracket(form: "SymplecticForm", X: LieVector, Y: LieVector) -> LieVector:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -246,7 +246,7 @@ class ScanResult(tuple):
 
 
 def lsi_scan(
-    form_family: Union[FormFamily, Sequence[FormFamily]],
+    families: Sequence[FormFamily],
     dims: Sequence[int],
     t_list: Sequence[float],
     f_registry: Sequence[str],
@@ -263,10 +263,9 @@ def lsi_scan(
     weighting differs; `steps=None` samples the exact law, an integer the
     walk) and the whole t grid reuses them through exact
     Brownian scaling, so the scan cost is one batch per dimension.  A cell
-    whose observable is not integrable is reported with status "error"
+    whose values overflow or turn NaN is reported with status "error"
     instead of aborting the scan.
     """
-    families = [form_family] if isinstance(form_family, FormFamily) else list(form_family)
     if not families:
         raise ValueError("need at least one form family")
     reports = []

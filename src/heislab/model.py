@@ -86,18 +86,9 @@ class SymplecticForm:
     def n(self) -> int:
         return self.omega.shape[0] // 2
 
-    @property
-    def sv_max(self) -> float:
-        """Largest weight, which is the largest singular value; comass of the form."""
-        return float(self.weights.max())
-
     def pair(self, x, y) -> float:
-        """omega(x, y); batched over leading axes when given stacked inputs."""
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        if x.ndim == 1 and y.ndim == 1:
-            return float(x @ self.omega @ y)
-        return np.einsum("...i,ij,...j->...", x, self.omega, y)
+        """omega(x, y) of two vectors."""
+        return float(np.asarray(x, float) @ self.omega @ np.asarray(y, float))
 
     def pair_with_basis(self, w) -> np.ndarray:
         """Vector of omega(w, e_j) over all 2n basis directions.
@@ -137,9 +128,6 @@ class Projection:
     @property
     def zero_based(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=int) - 1
-
-    def is_full(self, dim: int) -> bool:
-        return self.indices == tuple(range(1, dim + 1))
 
 
 def full_projection(dim: int) -> Projection:

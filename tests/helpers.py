@@ -78,7 +78,7 @@ def rotated_function(f, rotation):
     If new coordinates are w' = R^T w, the same point function reads
     F'(w', v) = F(R w', v); the partials transform by the chain rule.
     """
-    if not f.projection.is_full(rotation.shape[0]):
+    if f.projection != full_projection(rotation.shape[0]):
         raise ValueError("basis rotation needs a full-projection function")
     R = np.asarray(rotation, float)
 

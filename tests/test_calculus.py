@@ -15,7 +15,6 @@ from heislab import (
     REGISTRY_DEFAULT_SELECTION,
     SymplecticForm,
     compose_with_quotient,
-    exp_group,
     grad_norm_sq,
     horizontal_gradient,
     left_invariant_derivative,
@@ -37,8 +36,9 @@ def _point(rng, dim, c_scale=3.0):
 
 
 def _shifted(form, g, X, h):
-    """The curve point g * exp(h X), evaluated through the group law."""
-    return multiply(form, g, exp_group(LieVector(h * X.A, h * X.a)))
+    """The curve point g * exp(h X), evaluated through the group law; exp is
+    the identity on coordinates in a step-2 group."""
+    return multiply(form, g, GroupElement(h * X.A, h * X.a))
 
 
 # the default registry plus one function built by each combinator

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from heislab import ExperimentConfig, __version__, cli, parse_config
 from heislab.cli import main, run
 
 FAST = ["--set", "m = 400", "--set", "N = 50"]
+# config echo lines heading every artifact, one per key
+ECHO = len(fields(ExperimentConfig))
 
 
 @pytest.fixture()
@@ -58,10 +61,10 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == 6
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
-        assert len(report["config"]) == 19
+        assert len(report["config"]) == ECHO
         assert "m = 400" in report["config"]
         moments = report["results"]["moments"]
         assert len(moments) == 4
@@ -74,13 +77,13 @@ class TestSimulate:
 
         csv_lines = _read(out / "summary.csv").splitlines()
         echo = [ln for ln in csv_lines if ln.startswith("# ")]
-        assert len(echo) == 19 and "# m = 400" in echo
+        assert len(echo) == ECHO and "# m = 400" in echo
         header_idx = len(echo)
         assert csv_lines[header_idx] == "t,metric,mean,std_error,expected,z,pass"
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 5
+        assert manifest["schema_version"] == 6
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
         assert manifest["seed"] == 42
         assert "wall_time_s" in manifest and "generated_unix" in manifest
@@ -94,8 +97,8 @@ class TestSimulate:
                                    "--out", str(out)])
         assert res.exit_code == 0
         lines = _read(out / "endpoints.csv").splitlines()
-        assert lines[19] == "sample,w_1,w_2,c,theta"
-        assert len(lines) == 19 + 1 + 400
+        assert lines[ECHO] == "sample,w_1,w_2,c,theta"
+        assert len(lines) == ECHO + 1 + 400
         report = json.loads(_read(out / "report.json"))
         assert report["results"]["endpoints_csv_ref"] == "endpoints.csv"
         assert report["results"]["endpoints_t"] == 1.0
@@ -159,14 +162,16 @@ class TestExitCodes:
         assert report["results"]["cells"][0]["passed"] is False
 
     def test_unknown_key_exits_two(self, runner, tmp_path):
-        # delta_t was the central-difference step of heat-check; there is no
-        # scheme key, every subcommand samples the exact law
+        # delta_t was the central-difference step of heat-check and k_window
+        # the fiber window of distance; there is no scheme key, every
+        # subcommand samples the exact law
         out = tmp_path / "o"
         for sub, item in (("simulate", "bogus = 1"), ("heat-check", "delta_t = 0.05"),
-                          ("simulate", "scheme = bogus")):
+                          ("simulate", "scheme = bogus"), ("distance", "k_window = 2")):
             res = runner.invoke(main, [sub, "--set", item, "--out", str(out)])
             assert res.exit_code == 2
-            assert "config error" in res.stderr and "unknown key" in res.stderr
+            assert "config error" in res.stderr
+            assert f"unknown key {item.split(' = ')[0]!r}" in res.stderr
             assert not out.exists()
 
     def test_override_error_names_the_item(self, runner, tmp_path):
@@ -262,15 +267,18 @@ class TestExitCodes:
         row, = json.loads(_read(out / "report.json"))["results"]["heat_check"]
         assert row["pass"] is True and abs(row["residual"]) <= 3.0 * row["std_error"]
 
+    # an overflow is reported once, as the error, with no RuntimeWarning before it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_observable_exits_two(self, runner, tmp_path):
         out = tmp_path / "o"
         res = runner.invoke(main, ["heat-check", "--set", "m = 200", "--set", "N = 10",
                                    "--set", "f = exp_linear(1000)", "--out", str(out)])
         assert res.exit_code == 2
         assert "error: heat-check: d/dt exp_linear(1000) at t = 1 " in res.stderr
-        assert "non-finite" in res.stderr
+        assert "non-finite" in res.stderr and "overflowed" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_quotient_observable_exits_two(self, runner, tmp_path):
         # a row of nan/inf would otherwise blame quotient invariance
         out = tmp_path / "o"
@@ -278,19 +286,21 @@ class TestExitCodes:
                                    "--set", "f = exp_linear(1000)", "--out", str(out)])
         assert res.exit_code == 2
         assert "error: quotient-check: exp_linear(1000) at t = 1 " in res.stderr
-        assert "non-finite" in res.stderr
+        assert "non-finite" in res.stderr and "overflowed" in res.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("sub, what", [("simulate", "|w|^2"), ("levy-cf", "cos(0.5 c)")],
                              ids=["simulate", "levy-cf"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_samples_exit_two(self, runner, tmp_path, sub, what):
-        # the moments and the characteristic function would otherwise be null rows
+        # the moments and the characteristic function would otherwise be null
+        # rows; |w|^2 and cos(0.5 c) are integrable, their samples overflow
         out = tmp_path / "o"
         res = runner.invoke(main, [sub, "--set", "t = 1e308", "--set", "m = 100",
                                    "--out", str(out)])
         assert res.exit_code == 2
         assert f"error: {sub}: {what} at t = 1e+308 " in res.stderr
-        assert "non-finite" in res.stderr
+        assert "overflowed" in res.stderr and "integrable" not in res.stderr
         assert not out.exists()
 
     def test_missing_config_file_exits_two(self, runner):
@@ -334,8 +344,8 @@ class TestSummaryHeaders:
     def test_header_matches_readme(self, subcommand, tmp_path):
         assert run(subcommand, parse_config(SMALL), out=str(tmp_path)) in (0, 1)
         lines = _read(tmp_path / "summary.csv").splitlines()
-        assert lines[19] == SUMMARY_HEADERS[subcommand]
-        assert len(lines) > 20
+        assert lines[ECHO] == SUMMARY_HEADERS[subcommand]
+        assert len(lines) > ECHO + 1
 
 
 class _HalfWrittenFile:
@@ -404,12 +414,12 @@ class TestLsiScan:
         assert set(summaries) == {"per_dimension_max", "per_form_max"}
         assert set(summaries["per_dimension_max"]) == {"1", "2"}
 
-        header = _read(out / "summary.csv").splitlines()[19]
+        header = _read(out / "summary.csv").splitlines()[ECHO]
         assert header == ("n,t,form,f,entropy,entropy_se,energy,energy_se,"
                           "ratio,ratio_se,bound,pass")
         dat = _read(out / "max_ratio_vs_n_t0.dat").splitlines()
-        assert dat[19] == "# columns: n max_ratio"
-        assert len(dat) == 19 + 1 + 2  # echo + columns + one point per dim
+        assert dat[ECHO] == "# columns: n max_ratio"
+        assert len(dat) == ECHO + 1 + 2  # echo + columns + one point per dim
 
 
 class TestQuotientCheck:
@@ -436,24 +446,27 @@ class TestDistance:
         assert report["results"]["converged"] is True
         assert "fiber_candidates" not in report["results"]
         path_lines = _read(out / "path.csv").splitlines()
-        assert path_lines[19] == "node,w_1,w_2,c"
-        assert len(path_lines) == 19 + 1 + 17
+        assert path_lines[ECHO] == "node,w_1,w_2,c"
+        assert len(path_lines) == ECHO + 1 + 17
         assert (out / "path_plane.dat").exists()
 
     def test_reduced_target_unwinds(self, runner, tmp_path):
-        out = tmp_path / "dr"
-        res = runner.invoke(main, [
-            "distance", "--set", "space = Gtilde", "--set", "K = 16",
-            "--set", "k_window = 2", "--set", "target_w = 0, 0",
-            "--set", "target_c = 6.233185307179586",
-            "--out", str(out),
-        ])
-        assert res.exit_code == 0
-        results = json.loads(_read(out / "report.json"))["results"]
-        assert results["winning_k"] == -1
-        ks = [cand["k"] for cand in results["fiber_candidates"]]
-        assert ks == [-2, -1, 0, 1, 2]
-        assert results["estimate"] <= 0.81
+        # theta = 2 pi - 0.05 is solved on G at c = theta - 2 pi, bit for bit
+        theta = 2.0 * np.pi - 0.05
+        base = ["distance", "--set", "K = 16", "--set", "target_w = 0, 0"]
+        red, full = tmp_path / "red", tmp_path / "full"
+        res = runner.invoke(main, [*base, "--set", "space = Gtilde",
+                                   "--set", f"target_c = {theta!r}", "--out", str(red)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, [*base, "--set", f"target_c = {theta - 2.0 * np.pi!r}",
+                                   "--out", str(full)])
+        assert res.exit_code == 0, res.output
+        results = json.loads(_read(red / "report.json"))["results"]
+        plain = json.loads(_read(full / "report.json"))["results"]
+        assert results["winning_k"] == -1 and plain["winning_k"] is None
+        assert "fiber_candidates" not in results
+        assert results["estimate"] == plain["estimate"] <= 0.81
+        assert _read(red / "path.csv").splitlines()[ECHO:] == _read(full / "path.csv").splitlines()[ECHO:]
 
     def test_wrong_target_dimension_exits_two(self, runner):
         res = runner.invoke(main, ["distance", "--set", "target_w = 1, 2, 3"])

@@ -28,7 +28,7 @@ class TestDefaults:
         assert cfg.form == "isotropic" and cfg.n == 1 and cfg.dim == 2
         assert cfg.t == (1.0,) and cfg.N == 1000 and cfg.m == 200000
         assert cfg.seed == 42 and cfg.c_ref == 4.0 and cfg.space == "G"
-        assert cfg.K == 64 and cfg.k_window == 3
+        assert cfg.K == 64
         assert cfg.lambdas == (0.5, 1.0, 2.0) and cfg.dims == (1, 2, 3, 4)
         assert cfg.scan_forms == ("isotropic", "ascending_weights")
         assert cfg.target_w == (3.0, 4.0) and cfg.target_c == 0.0
@@ -125,7 +125,7 @@ class TestErrorCollection:
             ("seed = 18446744073709551616", "seed"),
             ("K = 1", "K must be >= 2"),
             ("K = 100001", "K must be <= 100000"),
-            ("k_window = -1", "k_window"),
+            ("k_window = -1", "k_window"),  # no longer a key: rejected as unknown
             ("c_ref = 0", "c_ref"),
             ("dims = 0,1", "dims"),
             ("n = 0", "n must be >= 1"),
@@ -192,7 +192,7 @@ class TestCanonicalText:
         cfg = parse_config("")
         text = canonical_text(cfg)
         lines = text.strip().split("\n")
-        assert len(lines) == 19
+        assert len(lines) == len(fields(ExperimentConfig)) == 18
         assert lines[0].startswith("K = ")
         assert lines == sorted(lines, key=lambda ln: ln.split(" = ")[0])
         assert parse_config(text) == cfg
@@ -204,7 +204,7 @@ class TestCanonicalText:
             "form = nonisotropic\nweights = 1.5, 2.25\nt = 0.1, 1, 10\nm = 50",
             "f = exp_linear(0.5), cos_theta\nspace = Gtilde\nseed = 7",
             "n = 4\nprojection = 1, 2, 5, 6\nout = results",
-            "form = trace_class\nweights = 1, 0.5\nk_window = 7\ntarget_c = -2.5",
+            "form = trace_class\nweights = 1, 0.5\nK = 7\ntarget_c = -2.5",
         ],
     )
     def test_roundtrip_nontrivial(self, doc):
@@ -241,7 +241,6 @@ _VALUES = {
     "space": st.sampled_from(["G", "Gtilde"]),
     "out": st.text("abc_-./0123456789", max_size=8),
     "K": st.integers(2, 1000).map(str),
-    "k_window": st.integers(0, 10).map(str),
     "lambdas": _text_list(_FLOAT),
     "dims": _text_list(st.integers(1, 64).map(str)),
     "scan_forms": _text_list(st.sampled_from(["isotropic", "ascending_weights"])),

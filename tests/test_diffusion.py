@@ -105,7 +105,7 @@ class TestValidation:
     def test_vertical_space_names(self, iso1):
         b = sample_unit_endpoints([iso1], steps=16, base_seed=3, m=4)[0]
         with pytest.raises(ValueError):
-            b.vertical_at(1.0, "H")
+            diffusion._vertical(b.c_at(1.0), "H")
 
 
 # every determinism test runs on the walk (steps = 64) and the exact scheme
@@ -361,10 +361,10 @@ class TestRescaling:
         assert np.array_equal(b.w_at(1.0), b.w_hat)
         assert np.array_equal(b.theta_at(3.0), wrap_angle(b.c_at(3.0)))
 
-    def test_vertical_at_dispatch(self, iso1):
+    def test_vertical_dispatch(self, iso1):
         b = sample_unit_endpoints([iso1], steps=64, base_seed=13, m=30)[0]
-        assert np.array_equal(b.vertical_at(1.5, SPACE_FULL), b.c_at(1.5))
-        th = b.vertical_at(1.5, SPACE_REDUCED)
+        assert np.array_equal(diffusion._vertical(b.c_at(1.5), SPACE_FULL), b.c_at(1.5))
+        th = diffusion._vertical(b.c_at(1.5), SPACE_REDUCED)
         assert np.array_equal(th, b.theta_at(1.5))
         assert np.all((th >= 0.0) & (th < 2.0 * math.pi))
 

@@ -20,7 +20,6 @@ from heislab import (
     make_isotropic_form,
     make_nonisotropic_form,
     multiply,
-    vertical_distance_reference,
     wrap_angle,
 )
 from heislab import distance
@@ -99,13 +98,14 @@ class TestCcDistance:
             cc_distance(iso1, GroupElement([1.0, 2.0, 3.0, 4.0], 0.0), K=8)
 
     def test_vertical_target_matches_circle_law(self, iso1):
-        ref = vertical_distance_reference(iso1, 1.0)
-        assert ref == 2.0 * math.sqrt(math.pi)
+        # the geodesic to (0, c) is a circle of area |c|
+        ref = gaveau_distance((1.0,), [0.0, 0.0], 1.0)
+        assert ref == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
         res = cc_distance(iso1, GroupElement([0.0, 0.0], 1.0), K=64)
         assert res.converged
-        # a polygon cannot beat the smooth circle and a regular 64-gon
-        # is within about 0.1% of it
-        assert ref - 1e-3 <= res.estimate <= 1.005 * ref
+        # a polygon cannot beat the smooth circle, and a regular 64-gon
+        # exceeds it by the isoperimetric gap
+        assert ref * (1.0 - 1e-12) <= res.estimate <= (1.0 + polygon_gap(64)) * ref * (1.0 + 1e-12)
         assert lift(iso1, res.path).endpoint.c == pytest.approx(1.0, abs=2e-6)
 
     def test_refinement_never_hurts(self, iso1):
@@ -130,8 +130,9 @@ class TestReducedDistance:
         res = cc_distance_reduced(iso1, ReducedElement([0.0, 0.0], theta), K=32)
         assert res.winning_k == -1
         assert res.converged
-        ref = vertical_distance_reference(iso1, 0.05)
-        assert ref - 1e-3 <= res.estimate <= 1.01 * ref
+        ref = gaveau_distance((1.0,), [0.0, 0.0], theta - TWO_PI)
+        assert ref == pytest.approx(2.0 * math.sqrt(math.pi * 0.05), rel=1e-12)
+        assert ref * (1.0 - 1e-12) <= res.estimate <= (1.0 + polygon_gap(32)) * ref * (1.0 + 1e-12)
         assert res.path.length() == res.estimate
         # every offset is reported; only the nearest fiber is solved
         assert res.candidates == tuple((k, res.estimate if k == -1 else None) for k in range(-3, 4))
@@ -367,7 +368,7 @@ class TestClosedFormPolygon:
             form = make_nonisotropic_form(ws)
             for c in (0.5, -1.0, 7.25):
                 res = cc_distance(form, GroupElement(np.zeros(form.dim), c), K=K)
-                law = 2.0 * math.sqrt(K * math.tan(math.pi / K) * abs(c) / form.sv_max)
+                law = 2.0 * math.sqrt(K * math.tan(math.pi / K) * abs(c) / max(ws))
                 assert res.estimate == pytest.approx(law, rel=1e-12, abs=0.0)
 
     def test_rotated_form_gives_the_block_form_estimate(self):

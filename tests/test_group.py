@@ -14,7 +14,6 @@ from heislab import (
     ReducedElement,
     SymplecticForm,
     bracket,
-    exp_group,
     identity,
     inverse,
     multiply,
@@ -214,11 +213,6 @@ class TestQuotient:
 
 
 class TestExponentialAndBracket:
-    def test_exp_is_coordinate_identity(self):
-        X = LieVector([1.0, -2.0], 3.0)
-        g = exp_group(X)
-        assert np.array_equal(g.w, X.A) and g.c == X.a
-
     def test_bracket_is_vertical(self, iso2):
         rng = np.random.default_rng(27)
         X = LieVector(rng.standard_normal(4), 1.0)

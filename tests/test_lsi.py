@@ -218,7 +218,7 @@ class TestScan:
     def test_error_cells_do_not_abort(self):
         with np.errstate(over="ignore", invalid="ignore"):
             scan = lsi_scan(
-                ISOTROPIC_FAMILY,
+                [ISOTROPIC_FAMILY],
                 dims=(1,),
                 t_list=(1.0,),
                 f_registry=("poly_radial", "exp_linear(1000)"),
