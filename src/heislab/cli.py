@@ -49,7 +49,7 @@ from .group import GroupElement, ReducedElement, wrap_angle
 from .lsi import family_from_name, lsi_scan, quotient_invariance_report
 from .model import SymplecticForm
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 HEAT_DEFAULT_FS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 QUOTIENT_DEFAULT_FS = ("cos_theta",)

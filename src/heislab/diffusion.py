@@ -12,11 +12,16 @@ Levy's formula makes A_j a logistic(s) bridge area, s = 1/(2 pi), plus for
 every k >= 1 Poisson(|W_j|^2) many Laplace(s/k) jumps (Levy 1951;
 Wiktorsson 2001).  N Laplace(b) jumps sum to b sqrt(2 G) Z with
 G ~ Gamma(N), so the terms k <= _LEVY_TERMS enter through one normal of
-variance 2 s^2 sum_k G_k / k^2; the terms k > _LEVY_TERMS through a Gaussian
-of the same variance, the only approximation.  The cost does not depend on
-N.  Chunk j of _EXACT_CHUNK samples draws from the Philox stream keyed
-(base_seed, j), and every chunk is drawn whole, so the bits depend on
-neither the worker count nor m beyond its prefix.
+variance 2 s^2 V, V = sum_k G_k / k^2; the terms k > _LEVY_TERMS through a
+Gaussian of the same variance, the only approximation.  V is drawn as one
+compound-Poisson sum per plane (`_jump_variance`): Poisson(K |W_j|^2) jumps,
+each with a uniform label k and an Exp(1) size, adding size / k^2.  By
+Poisson thinning the label-k jumps are Poisson(|W_j|^2) many, and N Exp(1)
+sizes sum to Gamma(N), so that is the law above.  The cost does not depend
+on N.  Chunk j of _EXACT_CHUNK samples draws from the Philox stream keyed
+(base_seed, j), in the order W, the logistic bridge areas, the jump counts,
+labels and sizes, and the final normals, and every chunk is drawn whole, so
+the bits depend on neither the worker count nor m beyond its prefix.
 
 The walk (`steps=N`) takes N Gaussian increments dB_k ~ Normal(0, (t/N)
 I_{2n}); the endpoint carries the horizontal sum and the discrete area
@@ -224,6 +229,23 @@ def _fill_chunk(omegas, steps, base_seed, lo, hi, w_hat, c_hats):
         w_hat[a:b] = sb[:, -1]
 
 
+def _jump_variance(g: np.random.Generator, r: np.ndarray) -> np.ndarray:
+    """Each plane's jump variance V given r = |W_j|^2, shaped like r: one
+    compound-Poisson sum of size / k^2 over Poisson(K r) jumps, plus the
+    mean r * _TAIL_SQ of the terms k > K."""
+    counts = g.poisson(_LEVY_TERMS * r)
+    total = int(counts.sum())
+    labels = g.integers(1, _LEVY_TERMS + 1, total, dtype=np.uint8)
+    sizes = g.standard_exponential(total)
+    sizes /= np.square(labels, dtype=float)
+    # jumps come plane by plane, so each sum runs in draw order; the plane
+    # index is intp, the type bincount would otherwise copy it to
+    planes = np.repeat(np.arange(r.size, dtype=np.intp), counts.ravel())
+    var = np.bincount(planes, weights=sizes, minlength=r.size).reshape(r.shape)
+    var += _TAIL_SQ * r
+    return var
+
+
 def _fill_exact(forms, frames, base_seed, chunks, m, c_hats):
     """Chunks `chunks` of the exact scheme: (W_j, A_j) per plane of the
     normal frame, then w = Q W for each distinct frame Q (None: the identity)
@@ -235,10 +257,7 @@ def _fill_exact(forms, frames, base_seed, chunks, m, c_hats):
         W = g.standard_normal((size, n, 2))
         r = W[..., 0] ** 2 + W[..., 1] ** 2
         area = g.logistic(0.0, _S, (size, n))
-        var = r * _TAIL_SQ
-        for k in range(1, _LEVY_TERMS + 1):
-            var += g.standard_gamma(g.poisson(r)) / (k * k)
-        area += _S * np.sqrt(2.0 * var) * g.standard_normal((size, n))
+        area += _S * np.sqrt(2.0 * _jump_variance(g, r)) * g.standard_normal((size, n))
         lo, hi = chunk * size, min(chunk * size + size, m)
         W = W.reshape(size, 2 * n)
         for q, w_hat in frames:

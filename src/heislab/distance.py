@@ -207,21 +207,21 @@ def cc_distance_reduced(
 ) -> DistanceResult:
     """Distance on the reduced group, min over k of d(w, theta + 2 pi k).
 
-    One solve, at the nearest fiber: k = -1 when k_window >= 1 and theta >
-    pi, else k = 0.  The least-length K-gon is even in c, since the polygon
-    run backwards from w, with nodes w - sigma_{K-i}, sweeps -c at the same
-    length; and nondecreasing in |c|, since the nodes (1 - s) chord + s
-    polygon sweep every area between 0 and c and are never longer than the
-    polygon.  So no farther fiber is shorter.
+    One solve, at the nearest fiber: k = -1 when theta > pi, else k = 0.
+    The least-length K-gon is even in c, since the polygon run backwards
+    from w, with nodes w - sigma_{K-i}, sweeps -c at the same length; and
+    nondecreasing in |c|, since the nodes (1 - s) chord + s polygon sweep
+    every area between 0 and c and are never longer than the polygon.  So
+    no farther fiber is shorter.
 
     `k_window` and the result's `candidates`, every offset in [-k_window,
-    k_window] with the estimate at the winner only, add nothing to that
+    k_window] with the estimate at the winner only, do not change that
     answer.  They remain because the benchmark (perfbench/worker.py) passes
     the one and reads the other; the CLI passes neither.
     """
     if k_window < 0:
         raise ValueError("k_window must be >= 0")
-    k = -1 if k_window >= 1 and target.theta > math.pi else 0
+    k = -1 if target.theta > math.pi else 0
     res = cc_distance(form, GroupElement(target.w, target.theta + TWO_PI * k), K=K)
     candidates = tuple((j, res.estimate if j == k else None) for j in range(-k_window, k_window + 1))
     return replace(res, winning_k=k, candidates=candidates)

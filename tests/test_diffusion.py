@@ -347,6 +347,33 @@ class TestExactScheme:
                                    rtol=0, atol=1e-13)
 
 
+class TestJumpVariance:
+    """The compound-Poisson jump sum against its law given r = |W_j|^2.
+    Without the tail's r * _TAIL_SQ, V is sum_{k <= K} G_k / k^2 with
+    G_k ~ Gamma(Poisson(r)) independent, so E[e^{-uV} | r] is
+    exp(-r sum_k u / (k^2 + u)) and E[V | r] is r sum_k k^-2; within 4
+    standard errors."""
+
+    M = 20000
+    K = np.arange(1, diffusion._LEVY_TERMS + 1, dtype=float)
+
+    @pytest.fixture(scope="class", params=[0.5, 2.0, 8.0])
+    def jumps(self, request):
+        r = request.param
+        gen = np.random.Generator(np.random.Philox(key=np.array([19, int(4 * r)], dtype=np.uint64)))
+        v = diffusion._jump_variance(gen, np.full(self.M, r))
+        return r, v - r * diffusion._TAIL_SQ
+
+    def test_mean(self, jumps):
+        r, v = jumps
+        TestExactScheme.within(v, r * np.sum(self.K ** -2.0))
+
+    @pytest.mark.parametrize("u", (0.3, 3.0))
+    def test_laplace_transform(self, jumps, u):
+        r, v = jumps
+        TestExactScheme.within(np.exp(-u * v), math.exp(-r * np.sum(u / (self.K ** 2 + u))))
+
+
 def _mc_from(values):
     return McEstimate(mean=float(np.mean(values)),
                       std_error=float(np.std(values, ddof=1) / math.sqrt(values.size)),
@@ -644,8 +671,9 @@ class TestPerSampleBlocks:
 
 
 class TestReportMemory:
-    """No report builds a whole-batch (m, 2n) temporary: each one's traced
-    peak stays below the size of one such array."""
+    """Neither the sampler nor any report builds a whole-batch (m, 2n)
+    temporary: each one's traced peak, less what it returns, stays below the
+    size of one such array."""
 
     N, M = 8, 20000
 
@@ -653,6 +681,16 @@ class TestReportMemory:
     def heat_batch(self):
         form = make_isotropic_form(self.N)
         return form, sample_unit_endpoints([form], None, 20251203, self.M)[0]
+
+    def test_sampler_peak_is_per_chunk(self):
+        form = make_isotropic_form(self.N)
+        tracemalloc.start()
+        try:
+            b = sample_unit_endpoints([form], None, 20251203, self.M)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - b.w_hat.nbytes - b.c_hat.nbytes < self.M * form.dim * 8, peak
 
     @pytest.mark.parametrize("report", ["heat", "lsi", "quotient"])
     def test_peak_below_one_batch_array(self, heat_batch, report):

@@ -156,6 +156,15 @@ class TestReducedDistance:
         assert red.candidates == ((0, full.estimate),)
         assert full.winning_k is None and full.candidates == ()
 
+    def test_zero_window_still_takes_the_nearest_fiber(self, iso1):
+        # theta > pi, so fiber -1 is nearer than fiber 0 whatever the window
+        theta = 2.0 * math.pi - 0.05
+        red = cc_distance_reduced(iso1, ReducedElement([0.0, 0.0], theta), K=16, k_window=0)
+        near = cc_distance(iso1, GroupElement([0.0, 0.0], theta - 2.0 * math.pi), K=16)
+        assert red.winning_k == -1
+        assert red.estimate == near.estimate == pytest.approx(0.7978, abs=1e-4)
+        assert red.candidates == ((0, None),)
+
     def test_negative_window_rejected(self, iso1):
         with pytest.raises(ValueError):
             cc_distance_reduced(iso1, ReducedElement([0.0, 0.0], 1.0), k_window=-1)
@@ -211,13 +220,14 @@ class TestNearestFiber:
             red = cc_distance_reduced(form, ReducedElement(w, theta), K=K, k_window=k_window)
         assert len(calls) == 1
 
-        window = range(-k_window, k_window + 1)
-        fibers = {k: cc_distance(form, GroupElement(w, theta + TWO_PI * k), K=K) for k in window}
+        # the least fiber over [-3, 3], whatever the window
+        fibers = {k: cc_distance(form, GroupElement(w, theta + TWO_PI * k), K=K) for k in range(-3, 4)}
         least = min(res.estimate for res in fibers.values() if res.converged)
         # fibers within rounding of the least one: at theta = pi, k = 0 and -1
         tied = [k for k, res in fibers.items() if res.converged and res.estimate <= least * (1.0 + 1e-12)]
         assert red.converged and red.winning_k in tied
         assert red.estimate == fibers[red.winning_k].estimate
+        window = range(-k_window, k_window + 1)
         assert red.candidates == tuple((k, red.estimate if k == red.winning_k else None) for k in window)
 
 
