@@ -162,6 +162,7 @@ def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                     "f": f.name,
                     "residual": rep.ddt.mean - rep.half_generator.mean,
                     "std_error": rep.std_error,
+                    "skew": rep.skew,
                     "ddt_mean": rep.ddt.mean,
                     "half_generator_mean": rep.half_generator.mean,
                     "pass": rep.passed,

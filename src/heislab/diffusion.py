@@ -238,9 +238,8 @@ def _jump_variance(g: np.random.Generator, r: np.ndarray) -> np.ndarray:
     labels = g.integers(1, _LEVY_TERMS + 1, total, dtype=np.uint8)
     sizes = g.standard_exponential(total)
     sizes /= np.square(labels, dtype=float)
-    # jumps come plane by plane, so each sum runs in draw order; the plane
-    # index is intp, the type bincount would otherwise copy it to
-    planes = np.repeat(np.arange(r.size, dtype=np.intp), counts.ravel())
+    # jumps come plane by plane, so each sum runs in draw order
+    planes = np.repeat(np.arange(r.size), counts.ravel())
     var = np.bincount(planes, weights=sizes, minlength=r.size).reshape(r.shape)
     var += _TAIL_SQ * r
     return var
@@ -395,16 +394,29 @@ def _ddt_along_dilation(f: CylinderFunction, w: np.ndarray, c: np.ndarray, t: fl
 
 @dataclass(frozen=True)
 class HeatCheckReport:
-    """Heat-equation check with common random numbers."""
+    """Heat-equation check with common random numbers.
+
+    `z` is the mean per-sample difference over its standard error, `skew`
+    the skewness of that mean (the per-sample skewness over sqrt(m)).  When
+    rare large differences carry the mean, z is skewed against them: a
+    sample that holds fewer of them has both a lower mean and a smaller
+    standard error.  So the check takes Hall's skewness-corrected statistic
+    z + a z^2 + a^2 z^3 / 3 + skew / 6, a = skew / 3 (Hall 1992), within 3.
+    It is increasing in z, and is z itself at skew 0.
+    """
 
     residual: float
     std_error: float
     ddt: McEstimate
     half_generator: McEstimate
+    z: float
+    skew: float
 
     @property
     def passed(self) -> bool:
-        return self.residual <= 3.0 * self.std_error
+        z, a = self.z, self.skew / 3.0
+        # NaN, a failure, only where the terms overflow, far outside the band
+        return abs(z + a * z * z + a * a * z * z * z / 3.0 + self.skew / 6.0) <= 3.0
 
 
 def heat_equation_report(
@@ -424,8 +436,7 @@ def heat_equation_report(
     The endpoint at time t is the dilation (sqrt(t) w_hat, t c_hat) of the
     unit-time one, so each sample's d/dt f is exact (`_ddt_along_dilation`).
     Both sides are computed per sample on the same draws, and the standard
-    error is that of their difference.  The check passes within 3 standard
-    errors.
+    error and skewness are those of their difference (`HeatCheckReport`).
     """
     b = _ensure_batch(form, cfg, m, workers, batch)
     t = cfg.t
@@ -434,12 +445,23 @@ def heat_equation_report(
     )
     _require_finite(ddt_vals, f"d/dt {f.name} at t = {t:g}")
     _require_finite(lap_vals, f"L_H {f.name} at t = {t:g}")
-    est = _mc_from_values(ddt_vals - 0.5 * lap_vals)
+    diff = ddt_vals - 0.5 * lap_vals
+    est = _mc_from_values(diff)
+    se = est.std_error
+    z = skew = 0.0
+    if se > 0.0:
+        z = est.mean / se
+        if se < math.inf:
+            skew = float(np.mean(((diff - est.mean) / (se * math.sqrt(m))) ** 3)) / math.sqrt(m)
+    elif est.mean != 0.0:
+        z = math.copysign(math.inf, est.mean)
     return HeatCheckReport(
         residual=abs(est.mean),
-        std_error=est.std_error,
+        std_error=se,
         ddt=_mc_from_values(ddt_vals),
         half_generator=_mc_from_values(0.5 * lap_vals),
+        z=z,
+        skew=skew,
     )
 
 

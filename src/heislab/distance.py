@@ -215,15 +215,18 @@ def cc_distance_reduced(
     no farther fiber is shorter.
 
     `k_window` and the result's `candidates`, every offset in [-k_window,
-    k_window] with the estimate at the winner only, do not change that
-    answer.  They remain because the benchmark (perfbench/worker.py) passes
-    the one and reads the other; the CLI passes neither.
+    k_window] and the winner's, with the estimate at the winner only, do not
+    change that answer.  They remain because the benchmark
+    (perfbench/worker.py) passes the one and reads the other; the CLI passes
+    neither.
     """
     if k_window < 0:
         raise ValueError("k_window must be >= 0")
     k = -1 if target.theta > math.pi else 0
     res = cc_distance(form, GroupElement(target.w, target.theta + TWO_PI * k), K=K)
-    candidates = tuple((j, res.estimate if j == k else None) for j in range(-k_window, k_window + 1))
+    candidates = tuple(
+        (j, res.estimate if j == k else None) for j in range(min(-k_window, k), k_window + 1)
+    )
     return replace(res, winning_k=k, candidates=candidates)
 
 

@@ -247,18 +247,15 @@ class TestExitCodes:
 
     def test_exact_law_has_no_walk_bias(self, runner, tmp_path):
         # the walk's (1 - 1/N) deficit in E c^2 fails vertical_sq at N = 20;
-        # every subcommand samples the exact law and does not read N.  Only
-        # vertical_sq: gauss_bump(1) at t = 2.5 fails by chance on the exact
-        # law in about one run of eight, its rare large samples making the
-        # standard error too small
+        # every subcommand samples the exact law and does not read N
         out = tmp_path / "o"
         res = runner.invoke(main, [
             "heat-check", "--set", "n = 8", "--set", "N = 20", "--set", "m = 20000",
-            "--set", "t = 0.25, 1, 2.5", "--set", "f = vertical_sq", "--out", str(out),
+            "--set", "t = 0.25, 1, 2.5", "--out", str(out),
         ])
         assert res.exit_code == 0, res.output
         rows = json.loads(_read(out / "report.json"))["results"]["heat_check"]
-        assert len(rows) == 3 and all(row["pass"] for row in rows)
+        assert len(rows) == 9 and all(row["pass"] for row in rows)
 
     def test_curved_bump_at_small_t_passes(self, runner, tmp_path):
         # gauss_bump is curved in t at small t, where d/dt along the dilation
@@ -339,7 +336,7 @@ class TestExitCodes:
 # the headers listed under "Artifacts" in the README
 SUMMARY_HEADERS = {
     "simulate": "t,metric,mean,std_error,expected,z,pass",
-    "heat-check": "t,f,residual,std_error,ddt_mean,half_generator_mean,pass",
+    "heat-check": "t,f,residual,std_error,skew,ddt_mean,half_generator_mean,pass",
     "lsi-scan": "n,t,form,f,entropy,entropy_se,energy,energy_se,ratio,ratio_se,bound,pass",
     "quotient-check": "t,f,value_max_diff,gradsq_max_diff,l2_reduced,l2_lifted,"
                       "entropy_reduced,entropy_lifted,energy_reduced,energy_lifted,pass",

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heislab import (
@@ -492,6 +492,40 @@ class TestHeatEquation:
             rep = heat_equation_report(iso1, PathConfig(t=1.0, steps=steps), f, m=2000)
             assert rep.passed is passed
 
+    @staticmethod
+    def _passed(z, skew):
+        est = McEstimate(0.0, 1.0, 2)
+        return HeatCheckReport(abs(z), 1.0, est, est, z, skew).passed
+
+    def test_verdict_band(self):
+        # skew 0: |z| <= 3; skew 0.5: z in [-10.89, 2.10], from
+        # ((1 + a z)^3 - 1) / (3 a) + skew / 6 = -3 and 3 at a = skew / 3
+        assert self._passed(3.0, 0.0) and self._passed(-3.0, 0.0)
+        assert not self._passed(3.0 + 1e-9, 0.0) and not self._passed(-3.0 - 1e-9, 0.0)
+        assert self._passed(-10.88, 0.5) and self._passed(2.09, 0.5)
+        assert not self._passed(-10.9, 0.5) and not self._passed(2.1, 0.5)
+        for z in (math.inf, -math.inf, 1e200, -1e200):
+            for skew in (0.0, 0.5, -0.5):
+                assert not self._passed(z, skew)
+
+    @given(st.floats(-60.0, 60.0), st.floats(-2.0, 2.0), st.floats(-60.0, 60.0))
+    def test_verdict_is_monotone_in_z(self, z1, skew, z2):
+        # the statistic is increasing in z, so the passing z form one interval
+        lo, hi = sorted((z1, z2))
+        assume(lo < hi)
+        if self._passed(lo, skew) and self._passed(hi, skew):
+            assert self._passed(0.5 * (lo + hi), skew)
+
+    def test_heavy_right_tail_skews_the_band(self):
+        # gauss_bump(1) on n = 8 at t = 2.5: rare samples near the origin carry
+        # the mean, so the band of z reaches far below -3 and stops short of 3
+        form = make_isotropic_form(8)
+        f = make_registry_function("gauss_bump(1.0)", form.dim)
+        rep = heat_equation_report(form, PathConfig(t=2.5, base_seed=42), f, m=20000)
+        assert rep.skew > 0.3
+        assert rep.passed and rep.z < -3.0
+        assert not self._passed(2.9, rep.skew)
+
     def test_batch_from_another_form_is_rejected(self, iso1, batch_iso1):
         cfg = PathConfig(t=1.0, steps=400, base_seed=42)
         other = make_nonisotropic_form((3.0,))
@@ -553,9 +587,11 @@ def whole_heat(form, f, b, t, m):
     w, c = b.w_at(t)[:m], b.c_at(t)[:m]
     ddt = diffusion._ddt_along_dilation(f, w, c, t)
     lap = sub_laplacian_batch(form, f, w, c)
-    est = _mc_from_values(ddt - 0.5 * lap)
+    diff = ddt - 0.5 * lap
+    est = _mc_from_values(diff)
+    skew = float(np.mean(((diff - est.mean) / (est.std_error * math.sqrt(m))) ** 3)) / math.sqrt(m)
     return HeatCheckReport(abs(est.mean), est.std_error, _mc_from_values(ddt),
-                           _mc_from_values(0.5 * lap))
+                           _mc_from_values(0.5 * lap), est.mean / est.std_error, skew)
 
 
 def whole_lsi(form, f, b, t, m, space):

@@ -163,7 +163,7 @@ class TestReducedDistance:
         near = cc_distance(iso1, GroupElement([0.0, 0.0], theta - 2.0 * math.pi), K=16)
         assert red.winning_k == -1
         assert red.estimate == near.estimate == pytest.approx(0.7978, abs=1e-4)
-        assert red.candidates == ((0, None),)
+        assert red.candidates == ((-1, red.estimate), (0, None))
 
     def test_negative_window_rejected(self, iso1):
         with pytest.raises(ValueError):
@@ -227,7 +227,7 @@ class TestNearestFiber:
         tied = [k for k, res in fibers.items() if res.converged and res.estimate <= least * (1.0 + 1e-12)]
         assert red.converged and red.winning_k in tied
         assert red.estimate == fibers[red.winning_k].estimate
-        window = range(-k_window, k_window + 1)
+        window = range(min(-k_window, red.winning_k), k_window + 1)
         assert red.candidates == tuple((k, red.estimate if k == red.winning_k else None) for k in window)
 
 
