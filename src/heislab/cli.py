@@ -46,10 +46,10 @@ from .diffusion import (
 )
 from .distance import cc_distance, cc_distance_reduced, lift
 from .group import GroupElement, ReducedElement, wrap_angle
-from .lsi import family_from_name, lsi_scan, quotient_invariance_report
+from .lsi import lsi_scan, quotient_invariance_report
 from .model import SymplecticForm
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 HEAT_DEFAULT_FS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 QUOTIENT_DEFAULT_FS = ("cos_theta",)
@@ -171,10 +171,21 @@ def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
     return _Payload(results={"heat_check": rows, "m": cfg.m}, rows=rows)
 
 
+def _worst_cells(cells, t: float, key: str) -> dict:
+    """The cell with the largest defined ratio at time t, per value of the
+    LsiReport attribute `key`; undefined and error cells have no ratio."""
+    out: dict = {}
+    for rep in cells:
+        if rep.t == t and rep.ratio is not None:
+            k = getattr(rep, key)
+            if k not in out or rep.ratio > out[k].ratio:
+                out[k] = rep
+    return out
+
+
 def _run_lsi_scan(cfg: ExperimentConfig, workers: int) -> _Payload:
-    families = [family_from_name(name) for name in cfg.scan_forms]
-    scan = lsi_scan(
-        families,
+    cells = lsi_scan(
+        cfg.scan_forms,
         cfg.dims,
         cfg.t,
         cfg.f_or_default(),
@@ -184,13 +195,13 @@ def _run_lsi_scan(cfg: ExperimentConfig, workers: int) -> _Payload:
         space=cfg.space,
         workers=workers,
     )
-    rows = [rep.row() for rep in scan]
-    json_rows = [asdict(rep) for rep in scan]
+    rows = [rep.row() for rep in cells]
+    json_rows = [asdict(rep) for rep in cells]
     summaries = {}
     extra = {}
     for idx, t in enumerate(cfg.t):
-        by_dim = scan.max_ratio_by_dim(float(t))
-        by_f = scan.max_ratio_by_function(float(t))
+        by_dim = _worst_cells(cells, float(t), "n")
+        by_f = _worst_cells(cells, float(t), "f_name")
         summaries[repr(float(t))] = {
             "per_dimension_max": {str(n): r.row() for n, r in sorted(by_dim.items())},
             "per_form_max": {name: r.row() for name, r in sorted(by_f.items())},

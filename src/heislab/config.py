@@ -18,7 +18,7 @@ import numpy as np
 
 from .calculus import REGISTRY_DEFAULT_SELECTION, make_registry_function
 from .diffusion import SPACE_FULL, SPACE_REDUCED
-from .lsi import DEFAULT_C_REF, family_from_name
+from .lsi import DEFAULT_C_REF, FORM_FAMILIES
 from .model import (
     Projection,
     SymplecticForm,
@@ -198,10 +198,8 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
     if cfg.space not in (SPACE_FULL, SPACE_REDUCED):
         errors.append(f"space must be {SPACE_FULL} or {SPACE_REDUCED}, got {cfg.space!r}")
     for name in cfg.scan_forms:
-        try:
-            family_from_name(name)
-        except ValueError as exc:
-            errors.append(str(exc))
+        if name not in FORM_FAMILIES:
+            errors.append(f"unknown form family {name!r}; expected one of {sorted(FORM_FAMILIES)}")
     for sel in cfg.f:
         try:
             make_registry_function(sel, 2 * max(n_eff, 1))

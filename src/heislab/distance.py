@@ -20,8 +20,9 @@ number z_j = |z_j| e^{i arg z_j}, each step turns block j by psi_j =
 Their swept area is a_j |delta_{1,j}|^2 (K sin psi_j - sin K psi_j) /
 (8 sin^2(psi_j / 2)), and the total increases with beta until the top-weight
 blocks close up at K psi = 2 pi.  The one root find solves area = |c| in
-eps = pi - K psi_top / 2, which keeps the closing sine sin(eps) exact for
-top blocks that barely move; the sign of c sets the turning direction.
+eps = pi - K psi_top / 2, and the top blocks' closing sine sin(eps) is taken
+as the sine of the smaller of eps and pi - eps, exact for blocks that barely
+move or barely turn; the sign of c sets the turning direction.
 When no top-weight block moves and even the closed-up turn falls short, a
 regular K-gon carries the rest of the area in one top block.  Vertical
 targets thus cost exactly (1 + g_K) 2 sqrt(pi |c| / a_max), g_K the
@@ -136,7 +137,8 @@ def _optimal_segments(a: np.ndarray, z: np.ndarray, K: int, c: float) -> np.ndar
         """Turning angles and segment lengths r sin(psi/2) / sin(K psi/2)."""
         theta = math.pi - eps
         psi = np.where(top, 2.0 * theta / K, 2.0 * np.arctan(math.tan(theta / K) * a / a_max))
-        closing = np.where(top, math.sin(eps), np.sin(0.5 * K * psi))
+        # sin(eps) = sin(theta): take the smaller angle, exact where it is tiny
+        closing = np.where(top, math.sin(min(eps, theta)), np.sin(0.5 * K * psi))
         amp = np.divide(r, closing, out=np.zeros_like(r), where=moves) * np.sin(0.5 * psi)
         return psi, amp
 

@@ -51,8 +51,7 @@ from heislab import (
     sub_laplacian,
     REGISTRY_DEFAULT_SELECTION,
 )
-from heislab.cli import main
-from heislab.lsi import ASCENDING_WEIGHTS_FAMILY, ISOTROPIC_FAMILY
+from heislab.cli import _worst_cells, main
 
 from helpers import exact_skew, random_orthogonal, rotated_function
 
@@ -68,7 +67,6 @@ HEAT_FUNCTIONS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 RATIO_T_GRID = (0.5, 1.0, 2.0)
 SCAN_DIMS = tuple(range(1, 9))
 SCAN_M = 60_000
-SCAN_STEPS = 500
 SCAN_SPREAD_FRACTION = 0.10
 CHORD_TOL = 1e-3
 FIBER_PAIRS = 100
@@ -313,23 +311,22 @@ def test_04_closed_form_ratio():
 def test_05_dimension_scan():
     t0 = time.perf_counter()
     scan = lsi_scan(
-        (ISOTROPIC_FAMILY, ASCENDING_WEIGHTS_FAMILY),
+        ("isotropic", "ascending_weights"),
         dims=SCAN_DIMS,
         t_list=(1.0,),
         f_registry=REGISTRY_DEFAULT_SELECTION,
         m=SCAN_M,
-        steps=SCAN_STEPS,
         base_seed=42,
     )
     n_cells = len(scan)
     ok_shape = n_cells == len(SCAN_DIMS) * 2 * len(REGISTRY_DEFAULT_SELECTION)
     ok_status = all(rep.status == "ok" for rep in scan)
     ok_bound = all(
-        rep.ratio is not None and rep.ratio <= 4.0 * rep.t + 3.0 * rep.ratio_se
+        rep.ratio is not None and rep.ratio <= 4.0 * rep.t + 3.0 * rep.ratio_se and rep.passed
         for rep in scan
-    ) and scan.all_pass
+    )
 
-    by_dim = scan.max_ratio_by_dim(1.0)
+    by_dim = _worst_cells(scan, 1.0, "n")
     ok_cover = sorted(by_dim) == list(SCAN_DIMS)
     tops = [by_dim[n] for n in sorted(by_dim)]
     hi = max(tops, key=lambda r: r.ratio)

@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,7 +62,7 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 7
+        assert report["schema_version"] == 8
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
         assert len(report["config"]) == ECHO
@@ -83,7 +84,7 @@ class TestSimulate:
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 7
+        assert manifest["schema_version"] == 8
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
         assert manifest["seed"] == 42
         assert "wall_time_s" in manifest and "generated_unix" in manifest
@@ -427,6 +428,35 @@ class TestLsiScan:
         dat = _read(out / "max_ratio_vs_n_t0.dat").splitlines()
         assert dat[ECHO] == "# columns: n max_ratio"
         assert len(dat) == ECHO + 1 + 2  # echo + columns + one point per dim
+
+    def test_max_summaries(self, runner, tmp_path):
+        # gauss_bump(0.1) has an undefined ratio and exp_linear(1000)
+        # overflows: the summaries skip both kinds of cell
+        out = tmp_path / "scan"
+        res = runner.invoke(main, [
+            "lsi-scan", "--set", "m = 600", "--set", "dims = 1, 3", "--set", "t = 0.5, 1",
+            "--set", "f = exp_linear(1000), gauss_bump(0.1), cos_theta, poly_radial",
+            "--out", str(out),
+        ])
+        assert res.exit_code == 0, res.output
+        results = json.loads(_read(out / "report.json"))["results"]
+        cells = results["cells"]
+        assert {cell["status"] for cell in cells} == {"ok", "ratio_undefined", "error"}
+        for idx, t in enumerate((0.5, 1.0)):
+            summary = results["summaries"][repr(t)]
+            for key, table in (("n", "per_dimension_max"), ("f_name", "per_form_max")):
+                largest = {}
+                for cell in cells:
+                    if cell["t"] == t and cell["ratio"] is not None:
+                        k = str(cell[key])
+                        largest[k] = max(largest.get(k, -math.inf), cell["ratio"])
+                assert {k: row["ratio"] for k, row in summary[table].items()} == largest
+            assert set(summary["per_form_max"]) == {"cos_theta", "poly_radial"}
+            per_dim = summary["per_dimension_max"]
+            dat = _read(out / f"max_ratio_vs_n_t{idx}.dat").splitlines()[ECHO + 1:]
+            assert [tuple(map(float, line.split())) for line in dat] == [
+                (float(n), per_dim[n]["ratio"]) for n in ("1", "3")]
+        assert results["summaries"]["1.0"]["per_dimension_max"]["1"]["f"] == "poly_radial"
 
 
 class TestQuotientCheck:

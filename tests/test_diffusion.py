@@ -621,11 +621,11 @@ def whole_quotient(form, f, b, t, m):
     fr, fl = vr * vr, vl * vl
     return QuotientInvarianceReport(
         f.name, m, t, float(np.max(np.abs(vr - vl))), float(np.max(np.abs(gr - gl))),
-        float(np.mean(vr)), float(np.mean(vl)), float(np.mean(fr)), float(np.mean(fl)),
+        float(np.mean(fr)), float(np.mean(fl)),
         lsi._entropy_from_moments(float(np.mean(lsi._xlogx(fr))), float(np.mean(fr))),
         lsi._entropy_from_moments(float(np.mean(lsi._xlogx(fl))), float(np.mean(fl))),
         float(np.mean(gr)), float(np.mean(gl)),
-        bool(np.array_equal(vr, vl)), bool(np.array_equal(gr, gl)),
+        bool(np.array_equal(vr, vl) and np.array_equal(gr, gl)),
     )
 
 

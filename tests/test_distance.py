@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq, minimize
 
 from heislab import (
@@ -181,6 +181,7 @@ def fiber_cases(draw):
 
 
 FIBER_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+TINY_C_CASE = (make_nonisotropic_form((0.5, 1.0)), np.array([0.0, 3.0, 0.0, 3.0]), 11)
 
 
 class TestNearestFiber:
@@ -197,6 +198,11 @@ class TestNearestFiber:
 
     @FIBER_SETTINGS
     @given(fiber_cases(), st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+    # tiny |c|, where the top block barely turns and pi - eps rounds
+    @example(TINY_C_CASE, 2.26e-169, 1.0)
+    @example(TINY_C_CASE, 1e-300, 1e-12)
+    @example(TINY_C_CASE, -1e-20, 1e-12)
+    @example(TINY_C_CASE, 1e-12, 1.0)
     def test_estimate_is_nondecreasing_in_abs_c(self, case, c1, c2):
         form, w, K = case
         near, far = sorted((c1, c2), key=abs)

@@ -38,6 +38,11 @@ PINNED = {
     "heat-check-n8": ("heat-check", BASE + "n = 8", False),
     "lsi-scan": ("lsi-scan", BASE + "m = 1000\ndims = 1, 2", False),
     "lsi-scan-errors": ("lsi-scan", LSI_ERRORS, False),
+    "lsi-scan-Gtilde": (
+        "lsi-scan",
+        BASE + "m = 1000\ndims = 1, 2\nspace = Gtilde\nf = poly_radial, exp_linear(0.5), cos_theta",
+        False,
+    ),
     "quotient-check": ("quotient-check", BASE, False),
     "distance-G": ("distance", "target_c = 1.5\nK = 16", False),
     "distance-Gtilde": ("distance", "target_c = 1.5\nK = 16\nspace = Gtilde", False),
