@@ -7,6 +7,11 @@ The full group lives on R^{2n} x R with product
 which is step-2 nilpotent: the only surviving bracket is the vertical one.
 The reduced group keeps the vertical coordinate on the circle, stored as the
 canonical representative theta in [0, 2*pi).
+
+Elements are checked once, when they are built.  Results that cannot leave
+the valid set are not checked again: the inverse, the quotient, and the
+bracket's zero horizontal part.  Products and brackets are checked, because
+w1 + w2 and omega(w1, w2) can overflow.
 """
 
 from __future__ import annotations
@@ -71,9 +76,25 @@ def _as_vector(w) -> np.ndarray:
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 1:
         raise ValueError("horizontal part must be a 1-d vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("horizontal part has non-finite entries")
     return arr
+
+
+def _as_finite(x, what: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
+def _valid(cls, w: np.ndarray, v: float):
+    """`cls`(w, v) without the constructor's checks: w and v are known valid."""
+    el = object.__new__(cls)
+    hname, vname = cls.__match_args__
+    object.__setattr__(el, hname, w)
+    object.__setattr__(el, vname, v)
+    return el
 
 
 @dataclass(frozen=True)
@@ -85,9 +106,7 @@ class GroupElement:
 
     def __post_init__(self):
         object.__setattr__(self, "w", _as_vector(self.w))
-        object.__setattr__(self, "c", float(self.c))
-        if not math.isfinite(self.c):
-            raise ValueError("vertical coordinate must be finite")
+        object.__setattr__(self, "c", _as_finite(self.c, "vertical coordinate"))
 
     @property
     def dim(self) -> int:
@@ -103,9 +122,7 @@ class ReducedElement:
 
     def __post_init__(self):
         object.__setattr__(self, "w", _as_vector(self.w))
-        th = float(self.theta)
-        if not math.isfinite(th):
-            raise ValueError("theta must be finite")
+        th = _as_finite(self.theta, "theta")
         if not 0.0 <= th < TWO_PI:
             raise ValueError("theta must lie in [0, 2*pi); use quotient/wrap_angle")
         object.__setattr__(self, "theta", th)
@@ -124,9 +141,7 @@ class LieVector:
 
     def __post_init__(self):
         object.__setattr__(self, "A", _as_vector(self.A))
-        object.__setattr__(self, "a", float(self.a))
-        if not math.isfinite(self.a):
-            raise ValueError("vertical rate must be finite")
+        object.__setattr__(self, "a", _as_finite(self.a, "vertical rate"))
 
 
 def identity(dim: int) -> GroupElement:
@@ -145,13 +160,13 @@ def _check_dim(form: "SymplecticForm", *elements) -> None:
 def multiply(form: "SymplecticForm", g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group product (w1+w2, c1+c2+0.5*omega(w1,w2))."""
     _check_dim(form, g1, g2)
-    return GroupElement(g1.w + g2.w, g1.c + g2.c + 0.5 * form.pair(g1.w, g2.w))
+    return GroupElement(g1.w + g2.w, g1.c + g2.c + 0.5 * float(g1.w @ form.omega @ g2.w))
 
 
 def inverse(form: "SymplecticForm", g: GroupElement) -> GroupElement:
     """Group inverse (-w, -c); omega(w, -w) = 0 makes this exact."""
     _check_dim(form, g)
-    return GroupElement(-g.w, -g.c)
+    return _valid(GroupElement, -g.w, -g.c)
 
 
 def multiply_reduced(
@@ -159,18 +174,18 @@ def multiply_reduced(
 ) -> ReducedElement:
     """Reduced product: same law with the vertical part wrapped into [0, 2*pi)."""
     _check_dim(form, r1, r2)
-    theta = wrap_angle(r1.theta + r2.theta + 0.5 * form.pair(r1.w, r2.w))
+    theta = wrap_angle(r1.theta + r2.theta + 0.5 * float(r1.w @ form.omega @ r2.w))
     return ReducedElement(r1.w + r2.w, theta)
 
 
 def quotient(g: GroupElement) -> ReducedElement:
     """Project to the reduced group: (w, c) -> (w, c mod 2*pi)."""
-    return ReducedElement(g.w, wrap_angle(g.c))
+    return _valid(ReducedElement, g.w, wrap_angle(g.c))
 
 
 def bracket(form: "SymplecticForm", X: LieVector, Y: LieVector) -> LieVector:
     """Lie bracket [(A1,a1),(A2,a2)] = (0, omega(A1, A2))."""
     if X.A.shape[0] != form.dim or Y.A.shape[0] != form.dim:
         raise ValueError("dimension mismatch in bracket")
-    return LieVector(np.zeros(form.dim), form.pair(X.A, Y.A))
-
+    a = _as_finite(X.A @ form.omega @ Y.A, "vertical rate")
+    return _valid(LieVector, np.zeros(form.dim), a)

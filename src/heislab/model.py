@@ -10,11 +10,12 @@ which every reader of the spectrum (distance, levy-cf) uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .group import GroupElement, ReducedElement
+from .group import GroupElement, ReducedElement, _valid
 
 # Relative floor for the smallest weight; constructed forms are exact,
 # this guards only user-supplied matrices.
@@ -125,9 +126,12 @@ class Projection:
     def size(self) -> int:
         return len(self.indices)
 
-    @property
+    @cached_property
     def zero_based(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=int) - 1
+        """The indices as a read-only 0-based array, built on first use."""
+        ix = np.asarray(self.indices, dtype=int) - 1
+        ix.setflags(write=False)
+        return ix
 
 
 def full_projection(dim: int) -> Projection:
@@ -167,7 +171,7 @@ def check_hormander(form: SymplecticForm, p: Projection) -> bool:
     the vertical direction.
     """
     ix = p.zero_based
-    if ix.size and ix.max() >= form.dim:
+    if ix[-1] >= form.dim:  # indices are sorted
         raise ValueError("projection indices exceed the form dimension")
     sub = form.omega[np.ix_(ix, ix)]
     return bool(np.any(sub != 0.0))
@@ -181,10 +185,10 @@ def project_element(p: Projection, g):
     if not isinstance(g, (GroupElement, ReducedElement)):
         raise TypeError(f"not a group element: {type(g).__name__}")
     ix = p.zero_based
-    if ix.size and ix.max() >= g.w.shape[0]:
+    if ix[-1] >= g.w.shape[0]:  # indices are sorted
         raise ValueError("projection indices exceed the element dimension")
-    w = np.zeros_like(g.w)
+    w = np.zeros(g.w.shape[0])
     w[ix] = g.w[ix]
     if isinstance(g, GroupElement):
-        return GroupElement(w, g.c)
-    return ReducedElement(w, g.theta)
+        return _valid(GroupElement, w, g.c)
+    return _valid(ReducedElement, w, g.theta)

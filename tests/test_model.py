@@ -137,6 +137,22 @@ class TestProjection:
         assert p.size == 4
         assert np.array_equal(p.zero_based, [0, 1, 4, 5])
 
+    def test_zero_based_is_built_once_and_read_only(self):
+        p = Projection((1, 2, 5, 6))
+        ix = p.zero_based
+        assert p.zero_based is ix
+        with pytest.raises(ValueError):
+            ix[0] = 3
+        assert np.array_equal(p.zero_based, [0, 1, 4, 5])
+
+    def test_cached_indices_leave_equality_and_hash(self):
+        p, q = Projection((1, 2, 5, 6)), Projection((1, 2, 5, 6))
+        p.zero_based
+        assert "zero_based" in vars(p) and "zero_based" not in vars(q)
+        assert p == q and q == p
+        assert hash(p) == hash(q)
+        assert len({p, q}) == 1
+
 
 class TestHormander:
     def test_full_projection_passes(self, iso2):
