@@ -140,7 +140,7 @@ def left_invariant_derivative(
         raise ValueError("Lie vector dimension mismatch")
     v = _vertical_of(f, g)
     gw, gv = f.first_derivs(g.w[ix], v)
-    rate = X.a + 0.5 * float(g.w @ form.omega @ X.A)
+    rate = X.a + 0.5 * form.pair(g.w, X.A)
     return float(np.dot(gw, X.A[ix]) + rate * gv)
 
 
@@ -149,7 +149,7 @@ def horizontal_gradient(form: SymplecticForm, f: CylinderFunction, g) -> np.ndar
     ix = _check_compat(form, f, g)
     v = _vertical_of(f, g)
     gw, gv = f.first_derivs(g.w[ix], v)
-    u = g.w @ form.omega  # omega(w, e_j) over all j
+    u = form.pair_with_basis(g.w)  # omega(w, e_j) over all j
     out = 0.5 * gv * u
     out[ix] += gw
     return out
@@ -165,7 +165,7 @@ def sub_laplacian(form: SymplecticForm, f: CylinderFunction, g) -> float:
     ix = _check_compat(form, f, g)
     v = _vertical_of(f, g)
     lap, hwc, hcc = f.second_derivs(g.w[ix], v)
-    u = g.w @ form.omega
+    u = form.pair_with_basis(g.w)
     return float(
         lap + np.dot(u[ix], hwc) + 0.25 * np.dot(u, u) * hcc
     )

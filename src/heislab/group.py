@@ -160,7 +160,7 @@ def _check_dim(form: "SymplecticForm", *elements) -> None:
 def multiply(form: "SymplecticForm", g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group product (w1+w2, c1+c2+0.5*omega(w1,w2))."""
     _check_dim(form, g1, g2)
-    return GroupElement(g1.w + g2.w, g1.c + g2.c + 0.5 * float(g1.w @ form.omega @ g2.w))
+    return GroupElement(g1.w + g2.w, g1.c + g2.c + 0.5 * form.pair(g1.w, g2.w))
 
 
 def inverse(form: "SymplecticForm", g: GroupElement) -> GroupElement:
@@ -174,7 +174,7 @@ def multiply_reduced(
 ) -> ReducedElement:
     """Reduced product: same law with the vertical part wrapped into [0, 2*pi)."""
     _check_dim(form, r1, r2)
-    theta = wrap_angle(r1.theta + r2.theta + 0.5 * float(r1.w @ form.omega @ r2.w))
+    theta = wrap_angle(r1.theta + r2.theta + 0.5 * form.pair(r1.w, r2.w))
     return ReducedElement(r1.w + r2.w, theta)
 
 
@@ -187,5 +187,5 @@ def bracket(form: "SymplecticForm", X: LieVector, Y: LieVector) -> LieVector:
     """Lie bracket [(A1,a1),(A2,a2)] = (0, omega(A1, A2))."""
     if X.A.shape[0] != form.dim or Y.A.shape[0] != form.dim:
         raise ValueError("dimension mismatch in bracket")
-    a = _as_finite(X.A @ form.omega @ Y.A, "vertical rate")
+    a = _as_finite(form.pair(X.A, Y.A), "vertical rate")
     return _valid(LieVector, np.zeros(form.dim), a)

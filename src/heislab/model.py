@@ -89,14 +89,14 @@ class SymplecticForm:
 
     def pair(self, x, y) -> float:
         """omega(x, y) of two vectors."""
-        return float(np.asarray(x, float) @ self.omega @ np.asarray(y, float))
+        return float(x @ self.omega @ y)
 
     def pair_with_basis(self, w) -> np.ndarray:
         """Vector of omega(w, e_j) over all 2n basis directions.
 
         Equals (Omega^T w)_j = (w @ Omega)_j; accepts stacked w.
         """
-        return np.asarray(w, float) @ self.omega
+        return w @ self.omega
 
     def frobenius_sq(self) -> float:
         return float(np.sum(self.omega * self.omega))

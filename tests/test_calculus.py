@@ -361,8 +361,9 @@ class TestQuotientComposition:
 class TestCompatibilityChecks:
     def test_element_dimension_mismatch(self, iso2):
         f = make_registry_function("poly_radial", 4)
-        with pytest.raises(ValueError):
-            grad_norm_sq(iso2, f, GroupElement([1.0, 2.0], 0.0))
+        for op in (grad_norm_sq, horizontal_gradient, sub_laplacian):
+            with pytest.raises(ValueError):
+                op(iso2, f, GroupElement([1.0, 2.0], 0.0))
 
     def test_projection_exceeds_form(self, iso1):
         f = make_registry_function("poly_radial", 4)

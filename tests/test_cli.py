@@ -271,8 +271,8 @@ class TestExitCodes:
         row, = json.loads(_read(out / "report.json"))["results"]["heat_check"]
         assert row["pass"] is True and abs(row["residual"]) <= 3.0 * row["std_error"]
 
-    # an overflow is reported once, as the error, with no RuntimeWarning before it
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # an overflow is reported once, as the error, with no RuntimeWarning before
+    # it; the test settings turn any RuntimeWarning into a failure
     def test_overflowing_observable_exits_two(self, runner, tmp_path):
         out = tmp_path / "o"
         res = runner.invoke(main, ["heat-check", "--set", "m = 200", "--set", "N = 10",
@@ -282,7 +282,6 @@ class TestExitCodes:
         assert "non-finite" in res.stderr and "overflowed" in res.stderr
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_quotient_observable_exits_two(self, runner, tmp_path):
         # a row of nan/inf would otherwise blame quotient invariance
         out = tmp_path / "o"
@@ -299,7 +298,6 @@ class TestExitCodes:
         # overflow first
         ("levy-cf", ["--set", "lambdas = 0.5"], "cos(0.5 c)"),
     ], ids=["simulate", "levy-cf"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_samples_exit_two(self, runner, tmp_path, sub, extra, what):
         # the moments and the characteristic function would otherwise be null
         # rows; |w|^2 and cos(0.5 c) are integrable, their samples overflow

@@ -79,14 +79,21 @@ class TestElements:
             GroupElement([1.0, np.inf], 0.0)
         with pytest.raises(ValueError):
             GroupElement([1.0, 2.0], float("nan"))
+        # the reduced element and the Lie vector run the same checks
+        for cls in (ReducedElement, LieVector):
+            for w, v in (([[1.0, 2.0]], 0.0), ([1.0, -np.inf], 0.0),
+                         ([np.nan, 2.0], 0.0), ([1.0, 2.0], np.nan), ([1.0, 2.0], np.inf)):
+                with pytest.raises(ValueError):
+                    cls(w, v)
 
     def test_reduced_element_range(self):
         ReducedElement([0.0, 0.0], 0.0)
         ReducedElement([0.0, 0.0], TWO_PI - 1e-9)
         with pytest.raises(ValueError):
             ReducedElement([0.0, 0.0], TWO_PI)
-        with pytest.raises(ValueError):
-            ReducedElement([0.0, 0.0], -0.1)
+        for theta in (-0.1, -1e-300, 7.0):
+            with pytest.raises(ValueError):
+                ReducedElement([0.0, 0.0], theta)
 
     def test_identities(self):
         e = identity(4)
@@ -141,6 +148,9 @@ class TestGroupLaws:
             multiply(iso1, identity(4), identity(4))
         with pytest.raises(ValueError):
             inverse(iso1, identity(4))
+        with pytest.raises(ValueError):
+            r = ReducedElement(np.zeros(4), 0.0)
+            multiply_reduced(iso1, r, r)
 
     def test_noncommutativity_measures_the_form(self, iso1):
         # g1 g2 and g2 g1 differ vertically by exactly omega(w1, w2)

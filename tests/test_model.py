@@ -189,5 +189,7 @@ class TestProjectElement:
         g = GroupElement([1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
             project_element(Projection((3, 4)), g)
+        with pytest.raises(ValueError):
+            project_element(Projection((3, 4)), ReducedElement([1.0, 2.0], 0.0))
         with pytest.raises(TypeError):
             project_element(Projection((1, 2)), "not an element")
