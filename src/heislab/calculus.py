@@ -172,39 +172,50 @@ def sub_laplacian(form: SymplecticForm, f: CylinderFunction, g) -> float:
 
 
 # -- batched evaluation over endpoint clouds --------------------------------
+# A full projection is read in place and has no complement term, which is
+# exactly zero for it; a partial projection is gathered, an F-ordered copy.
+
+
+def _projected(f: CylinderFunction, x: np.ndarray) -> np.ndarray:
+    """The columns of stacked x that f reads: x itself for a full projection."""
+    ix = f.projection.zero_based
+    return x if ix.size == ix[-1] + 1 == x.shape[1] else x[:, ix]
+
+
+def _pairing(form: SymplecticForm, f: CylinderFunction, w: np.ndarray):
+    """u_P and the complement norm ||u||^2 - ||u_P||^2 of u = w Omega."""
+    u = form.pair_with_basis(w)
+    up = _projected(f, u)
+    return up, None if up is u else np.einsum("ij,ij->i", u, u) - np.einsum("ij,ij->i", up, up)
+
+
+def _grad_norm_sq(f: CylinderFunction, wp, v, up, tail) -> np.ndarray:
+    """The projected block, with the dF/dw term, plus the complement, pure
+    vertical coupling: ||gw + 0.5 gv u_P||^2 + 0.25 gv^2 tail."""
+    gw, gv = f.first_derivs(wp, v)
+    inner = gw + 0.5 * gv[:, None] * up
+    full = np.einsum("ij,ij->i", inner, inner)
+    return full if tail is None else full + 0.25 * gv * gv * tail
 
 
 def value_batch(f: CylinderFunction, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return f.value(w[:, f.projection.zero_based], v)
+    return f.value(_projected(f, w), v)
 
 
 def grad_norm_sq_batch(
     form: SymplecticForm, f: CylinderFunction, w: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """||grad_H f||^2 at stacked points; w is (m, 2n), v is (m,).
-
-    Components split into the projected block (with the dF/dw term) and the
-    complement (pure vertical coupling):
-    ||gw + 0.5 gv u_P||^2 + 0.25 gv^2 (||u||^2 - ||u_P||^2).
-    """
-    ix = f.projection.zero_based
-    gw, gv = f.first_derivs(w[:, ix], v)
-    u = form.pair_with_basis(w)
-    up = u[:, ix]
-    inner = gw + 0.5 * gv[:, None] * up
-    full = np.einsum("ij,ij->i", inner, inner)
-    tail = np.einsum("ij,ij->i", u, u) - np.einsum("ij,ij->i", up, up)
-    return full + 0.25 * gv * gv * tail
+    """||grad_H f||^2 at stacked points; w is (m, 2n), v is (m,)."""
+    return _grad_norm_sq(f, _projected(f, w), v, *_pairing(form, f, w))
 
 
 def sub_laplacian_batch(
     form: SymplecticForm, f: CylinderFunction, w: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    ix = f.projection.zero_based
-    lap, hwc, hcc = f.second_derivs(w[:, ix], v)
+    lap, hwc, hcc = f.second_derivs(_projected(f, w), v)
     u = form.pair_with_basis(w)
-    up = u[:, ix]
-    return lap + np.einsum("ij,ij->i", up, hwc) + 0.25 * np.einsum("ij,ij->i", u, u) * hcc
+    return (lap + np.einsum("ij,ij->i", _projected(f, u), hwc)
+            + 0.25 * np.einsum("ij,ij->i", u, u) * hcc)
 
 
 # -- combinators ------------------------------------------------------------

@@ -62,7 +62,7 @@ import numpy as np
 # benchmark (perfbench/worker.py, `Heat.run`) patches it by name.  It patches
 # `sub_laplacian_batch` too, so the heat report's kernel calls it by this
 # module's name, once per block.
-from .calculus import CylinderFunction, sub_laplacian_batch, value_batch
+from .calculus import CylinderFunction, _projected, sub_laplacian_batch, value_batch
 from .group import wrap_angle
 from .model import SymplecticForm
 
@@ -237,7 +237,8 @@ def _jump_variance(g: np.random.Generator, r: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     labels = g.integers(1, _LEVY_TERMS + 1, total, dtype=np.uint8)
     sizes = g.standard_exponential(total)
-    sizes /= np.square(labels, dtype=float)
+    k = labels.astype(float)
+    sizes /= np.square(k, out=k)
     # jumps come plane by plane, so each sum runs in draw order
     planes = np.repeat(np.arange(r.size), counts.ravel())
     var = np.bincount(planes, weights=sizes, minlength=r.size).reshape(r.shape)
@@ -387,7 +388,7 @@ def _ensure_batch(
 def _ddt_along_dilation(f: CylinderFunction, w: np.ndarray, c: np.ndarray, t: float):
     """d/dt f(sqrt(t) w_hat, t c_hat) per sample, given w = sqrt(t) w_hat and
     c = t c_hat: (<w_P, dF/dw> + 2 c dF/dc) / (2 t)."""
-    wp = w[:, f.projection.zero_based]
+    wp = _projected(f, w)
     gw, gv = f.first_derivs(wp, c)
     return (np.einsum("ij,ij->i", wp, gw) + 2.0 * c * gv) / (2.0 * t)
 

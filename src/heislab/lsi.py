@@ -27,6 +27,7 @@ from .calculus import (
     make_registry_function,
     value_batch,
 )
+from .calculus import _grad_norm_sq, _pairing, _projected
 from .diffusion import (
     SPACE_FULL,
     SPACE_REDUCED,
@@ -63,8 +64,8 @@ STATUS_ERROR = "error"
 def _xlogx(x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     mask = x > _TINY
-    out[mask] = x[mask] * np.log(x[mask])
-    return out
+    np.log(x, out=out, where=mask)
+    return np.multiply(x, out, out=out, where=mask)
 
 
 @dataclass(frozen=True)
@@ -291,9 +292,11 @@ def quotient_invariance_report(
     lifted = compose_with_quotient(f)
 
     def kernel(w, c):
+        # the pairing reads w only; each gradient takes its own partials
         theta = _vertical(c, SPACE_REDUCED)
-        return (value_batch(f, w, theta), value_batch(lifted, w, c),
-                grad_norm_sq_batch(form, f, w, theta), grad_norm_sq_batch(form, lifted, w, c))
+        wp, pairing = _projected(f, w), _pairing(form, f, w)
+        return (f.value(wp, theta), lifted.value(wp, c),
+                _grad_norm_sq(f, wp, theta, *pairing), _grad_norm_sq(lifted, wp, c, *pairing))
 
     vals_r, vals_l, gsq_r, gsq_l = _per_sample(batch, cfg.t, m, kernel)
     for vals in (vals_r, vals_l, gsq_r, gsq_l):

@@ -19,6 +19,7 @@ from heislab import (
     horizontal_gradient,
     left_invariant_derivative,
     make_isotropic_form,
+    make_nonisotropic_form,
     make_registry_function,
     multiply,
     multiply_functions,
@@ -243,6 +244,32 @@ class TestBatchedEvaluation:
             assert vals[i] == pytest.approx(float(f.value(w[i][ix], v[i])), rel=1e-14)
             assert gsq[i] == pytest.approx(grad_norm_sq(iso2, f, g), rel=1e-12, abs=1e-15)
             assert lap[i] == pytest.approx(sub_laplacian(iso2, f, g), rel=1e-12, abs=1e-14)
+
+    @staticmethod
+    def _cloud(n, rows=50):
+        rng = np.random.default_rng(43)
+        form = make_nonisotropic_form(tuple(range(1, n + 1)))
+        return form, rng.standard_normal((rows, 2 * n)), rng.standard_normal(rows)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    @pytest.mark.parametrize("selector", ["poly_radial", "gauss_bump(1.0)"])
+    def test_full_projection_has_no_complement_term(self, selector, n):
+        # u_P is all of u = w Omega, so the complement term is exactly zero
+        form, w, v = self._cloud(n)
+        f = make_registry_function(selector, 2 * n)
+        gw, gv = f.first_derivs(w, v)
+        inner = gw + 0.5 * gv[:, None] * (w @ form.omega)
+        want = np.einsum("ij,ij->i", inner, inner)
+        assert np.array_equal(grad_norm_sq_batch(form, f, w, v), want)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("selector", ["exp_linear(0.5)", "cos_theta"])
+    def test_partial_projection_matches_pointwise(self, selector, n):
+        form, w, v = self._cloud(n)
+        f = make_registry_function(selector, 2 * n)
+        assert f.projection.size < 2 * n
+        want = [grad_norm_sq(form, f, GroupElement(wi, vi)) for wi, vi in zip(w, v)]
+        np.testing.assert_allclose(grad_norm_sq_batch(form, f, w, v), want, rtol=1e-12, atol=0)
 
 
 class TestBasisInvariance:

@@ -21,6 +21,8 @@ from heislab import (
     quotient_invariance_report,
     sample_unit_endpoints,
 )
+from heislab import diffusion, lsi
+from heislab.calculus import grad_norm_sq_batch, value_batch
 from heislab.lsi import STATUS_ERROR, STATUS_OK, STATUS_UNDEFINED
 
 from helpers import constant_function, linear_coordinate, zero_function
@@ -240,6 +242,30 @@ class TestQuotientInvariance:
         el = lsi_ratio(iso1, CFG, lifted, m=3000, batch=batch_iso1)
         assert er.entropy == el.entropy and er.entropy_se == el.entropy_se
 
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("selector", ["cos_theta", "poly_radial", "exp_linear(0.5)"])
+    def test_per_sample_arrays_equal_separate_calls(self, monkeypatch, selector, n):
+        # both gradients share one pairing per block, yet each per-sample
+        # array is bitwise its own whole-batch call; at n = 8, m = 5000 rows
+        # span three blocks of 2048
+        form, m, t = FORM_FAMILIES["ascending_weights"](n), 5000, 1.3
+        b = sample_unit_endpoints([form], None, 7, m)[0]
+        f = make_registry_function(selector, form.dim)
+        lifted = compose_with_quotient(f)
+        seen = []
+
+        def per_sample(*args):
+            seen.append(diffusion._per_sample(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(lsi, "_per_sample", per_sample)
+        quotient_invariance_report(form, PathConfig(t=t, base_seed=7), f, m, batch=b)
+        w, c, theta = b.w_at(t), b.c_at(t), b.theta_at(t)
+        want = (value_batch(f, w, theta), value_batch(lifted, w, c),
+                grad_norm_sq_batch(form, f, w, theta), grad_norm_sq_batch(form, lifted, w, c))
+        (got,) = seen
+        assert [g.tobytes() for g in got] == [x.tobytes() for x in want]
+
     def test_requires_periodic_function(self, iso1, batch_iso1):
         with pytest.raises(ValueError):
             quotient_invariance_report(
@@ -263,3 +289,11 @@ class TestQuotientInvariance:
         # w_1 ~ N(0, t), of variance e^{2t} - e^t
         se = math.sqrt((math.exp(2.0 * t) - math.exp(t)) / rep.m)
         assert abs(rep.l2_reduced - 1.0) <= 3.0 * se + 2.0 * t
+
+
+def test_xlogx_matches_the_masked_formula():
+    x = np.array([0.0, 5e-324, 1e-300, np.nextafter(1e-300, 1.0), 0.5, 1.0, 1e300, np.inf, np.nan])
+    mask = x > lsi._TINY
+    want = np.zeros_like(x)
+    want[mask] = x[mask] * np.log(x[mask])
+    assert lsi._xlogx(x).tobytes() == want.tobytes()
