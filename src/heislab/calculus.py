@@ -234,14 +234,11 @@ def compose_with_quotient(f: CylinderFunction) -> CylinderFunction:
     def lift(call):
         return lambda wp, v: call(wp, wrap_angle(np.asarray(v, float)))
 
-    return replace(
-        f,
-        name=f.name + "_lifted",
-        F=lift(f.F),
-        first=lift(f.first),
-        second=lift(f.second),
-        periodic=True,
-    )
+    out = replace(f, name=f.name + "_lifted", F=lift(f.F), first=lift(f.first),
+                  second=lift(f.second), periodic=False)
+    # f passed the periodicity probe, and the lift wraps first: no second probe
+    object.__setattr__(out, "periodic", True)
+    return out
 
 
 def multiply_functions(f1: CylinderFunction, f2: CylinderFunction) -> CylinderFunction:

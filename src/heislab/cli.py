@@ -287,7 +287,8 @@ def _run_distance(cfg: ExperimentConfig) -> _Payload:
 
 
 def _levy_reference(form: SymplecticForm, lam: float, t: float) -> float:
-    return float(np.prod(1.0 / np.cosh(form.weights * lam * t / 2.0)))
+    with np.errstate(over="ignore"):  # cosh overflows to inf, where the reference is 0
+        return float(np.prod(1.0 / np.cosh(form.weights * lam * t / 2.0)))
 
 
 def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:

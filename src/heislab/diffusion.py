@@ -29,7 +29,9 @@ I_{2n}); the endpoint carries the horizontal sum and the discrete area
     w = sum_k dB_k,      c = 0.5 * sum_k omega(B_{k-1}, dB_k)
 
 (left-point rule; the midpoint correction 0.5*omega(dB, dB) vanishes because
-omega is skew), whose E c^2 is (1 - 1/N) of the continuum one.  Stream
+omega is skew), whose E c^2 is (1 - 1/N) of the continuum one.  Every
+report checks a batch against the continuum law whichever scheme drew it,
+so a walk batch fails on its 1/N bias once the sample resolves it.  Stream
 contract: sample i draws from a Philox stream keyed by (base_seed, i),
 starting at counter 0, so results are bit-identical regardless of execution
 order or worker count; per-sample values land in index-addressed slots and
@@ -152,7 +154,6 @@ class EndpointBatch:
     """Unit-time endpoints of m paths; rescale to any t on demand."""
 
     form: SymplecticForm
-    steps: Optional[int]  # None for the exact scheme
     w_hat: np.ndarray  # (m, 2n)
     c_hat: np.ndarray  # (m,)
 
@@ -194,7 +195,7 @@ def _per_sample(batch: EndpointBatch, t: float, m: int, kernel) -> list:
     while lo < m:
         # a tail of one row joins the block before it
         hi = m if m - lo < rows + 2 else lo + rows
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by `_require_finite`
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by `_mc_from_values`
             vals = kernel(root * batch.w_hat[lo:hi], t * batch.c_hat[lo:hi])
         if outs is None:
             outs = [np.empty(m) for _ in vals]
@@ -270,15 +271,10 @@ def _fill_exact(forms, frames, base_seed, chunks, m, c_hats):
             c_hat[lo:hi] = c[: hi - lo]
 
 
-def _cf_allowance(form: SymplecticForm, steps: Optional[int], lam: float, t: float) -> float:
-    """How far the sampled E cos(lam c_t) may sit from its continuum value.
-
-    The `steps`-step walk: lam^2 t^2 ||Omega||_F^2 / (16 N), first order in
-    its area variance deficit.  The exact scheme (`steps=None`): per plane,
-    E|W_j|^2 * (lam a_j t)^4 / 24 times the omitted fourth-cumulant sum
-    24 * sum_{k>K} (s/k)^4."""
-    if steps is not None:
-        return (lam ** 2) * (t ** 2) * form.frobenius_sq() / (16.0 * steps)
+def _cf_allowance(form: SymplecticForm, lam: float, t: float) -> float:
+    """How far the exact scheme's E cos(lam c_t) may sit from its continuum
+    value: per plane, E|W_j|^2 * (lam a_j t)^4 / 24 times the omitted
+    fourth-cumulant sum 24 * sum_{k>K} (s/k)^4."""
     x = np.asarray(form.weights, dtype=float) * (lam * t)
     return float(2.0 * _S ** 4 * _TAIL_4TH * np.sum(x ** 4))
 
@@ -336,7 +332,7 @@ def sample_unit_endpoints(
             chunks, workers,
         )
         return [
-            EndpointBatch(form=fm, steps=None, w_hat=frames[fm.frame.tobytes()][1], c_hat=ch)
+            EndpointBatch(form=fm, w_hat=frames[fm.frame.tobytes()][1], c_hat=ch)
             for fm, ch in zip(forms, c_hats)
         ]
 
@@ -349,15 +345,8 @@ def sample_unit_endpoints(
     out = []
     for fm, ch in zip(forms, c_hats):
         ch /= steps
-        out.append(EndpointBatch(form=fm, steps=steps, w_hat=w_hat, c_hat=ch))
+        out.append(EndpointBatch(form=fm, w_hat=w_hat, c_hat=ch))
     return out
-
-
-def _mc_from_values(values: np.ndarray) -> McEstimate:
-    m = values.shape[0]
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(m))
-    return McEstimate(mean=mean, std_error=se, m=m)
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -367,6 +356,18 @@ def _require_finite(values: np.ndarray, what: str) -> None:
             f"{what} produced {int(bad.sum())} non-finite values out of {values.size}; "
             "the values overflowed or turned NaN at these parameters"
         )
+
+
+def _mc_from_values(values: np.ndarray, what: str) -> McEstimate:
+    """Mean and standard error of finite per-sample values.  Both must be
+    finite too: the squares in the standard error overflow first."""
+    _require_finite(values, what)
+    m = values.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        se = float(np.std(values, ddof=1) / math.sqrt(m))
+    _require_finite(np.array([mean, se]), f"the mean and standard error of {what}")
+    return McEstimate(mean=mean, std_error=se, m=m)
 
 
 def _ensure_batch(
@@ -441,26 +442,27 @@ def heat_equation_report(
     """
     b = _ensure_batch(form, cfg, m, workers, batch)
     t = cfg.t
-    ddt_vals, lap_vals = _per_sample(
-        b, t, m, lambda w, c: (_ddt_along_dilation(f, w, c, t), sub_laplacian_batch(form, f, w, c))
-    )
-    _require_finite(ddt_vals, f"d/dt {f.name} at t = {t:g}")
-    _require_finite(lap_vals, f"L_H {f.name} at t = {t:g}")
-    diff = ddt_vals - 0.5 * lap_vals
-    est = _mc_from_values(diff)
+
+    def kernel(w, c):
+        ddt, half_lap = _ddt_along_dilation(f, w, c, t), 0.5 * sub_laplacian_batch(form, f, w, c)
+        return ddt, half_lap, ddt - half_lap
+
+    ddt_vals, half_vals, diff = _per_sample(b, t, m, kernel)
+    ddt = _mc_from_values(ddt_vals, f"d/dt {f.name} at t = {t:g}")
+    half_generator = _mc_from_values(half_vals, f"L_H {f.name} at t = {t:g}")
+    est = _mc_from_values(diff, f"d/dt {f.name} - L_H {f.name} / 2 at t = {t:g}")
     se = est.std_error
     z = skew = 0.0
     if se > 0.0:
         z = est.mean / se
-        if se < math.inf:
-            skew = float(np.mean(((diff - est.mean) / (se * math.sqrt(m))) ** 3)) / math.sqrt(m)
+        skew = float(np.mean(((diff - est.mean) / (se * math.sqrt(m))) ** 3)) / math.sqrt(m)
     elif est.mean != 0.0:
         z = math.copysign(math.inf, est.mean)
     return HeatCheckReport(
         residual=abs(est.mean),
         std_error=se,
-        ddt=_mc_from_values(ddt_vals),
-        half_generator=_mc_from_values(0.5 * lap_vals),
+        ddt=ddt,
+        half_generator=half_generator,
         z=z,
         skew=skew,
     )
@@ -473,7 +475,7 @@ class CharFunctionPoint:
     cos_se: float
     sin_mean: float
     sin_se: float
-    allowance: float  # the sampling scheme's own bias bound on cos_mean
+    allowance: float  # the exact scheme's truncation bound on cos_mean
 
 
 def levy_area_char_function(
@@ -484,22 +486,20 @@ def levy_area_char_function(
     workers: int = 1,
     batch: Optional[EndpointBatch] = None,
 ) -> list:
-    """Empirical E[cos(lambda c_t)] per lambda, with the bias the batch's
-    scheme allows it; the sine channel is a symmetry diagnostic and should
-    vanish within noise."""
+    """Empirical E[cos(lambda c_t)] per lambda, with the exact scheme's
+    truncation bound as its allowance against the continuum law; the sine
+    channel is a symmetry diagnostic and should vanish within noise."""
     b = _ensure_batch(form, cfg, m, workers, batch)
     out = []
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by `_require_finite`
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by `_mc_from_values`
         c = b.c_at(cfg.t)[:m]
         for lam in lambdas:
             lam = float(lam)
             if lam == 0.0:
                 out.append(CharFunctionPoint(0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
                 continue
-            cos_vals = np.cos(lam * c)
-            _require_finite(cos_vals, f"cos({lam:g} c) at t = {cfg.t:g}")
-            cos_est = _mc_from_values(cos_vals)
-            sin_est = _mc_from_values(np.sin(lam * c))
+            cos_est = _mc_from_values(np.cos(lam * c), f"cos({lam:g} c) at t = {cfg.t:g}")
+            sin_est = _mc_from_values(np.sin(lam * c), f"sin({lam:g} c) at t = {cfg.t:g}")
             out.append(
                 CharFunctionPoint(
                     lam,
@@ -507,28 +507,21 @@ def levy_area_char_function(
                     cos_est.std_error,
                     sin_est.mean,
                     sin_est.std_error,
-                    _cf_allowance(form, b.steps, lam, cfg.t),
+                    _cf_allowance(form, lam, cfg.t),
                 )
             )
     return out
 
 
 def endpoint_moments(batch: EndpointBatch, t: float, m: Optional[int] = None) -> dict:
-    """Second moments used by the simulate diagnostics.
-
-    Exact references: E[|w|^2] = 2n t and E[c^2] = (t^2/8) ||Omega||_F^2,
-    times (1 - 1/N) for the N-step walk (partial-sum isometry).
+    """Second moments used by the simulate diagnostics, with the continuum
+    law's references E[|w|^2] = 2n t and E[c^2] = (t^2/8) ||Omega||_F^2.
     """
     mm = batch.m if m is None else min(m, batch.m)
     hnorm_sq, c_sq = _per_sample(batch, t, mm, lambda w, c: (np.einsum("ij,ij->i", w, w), c * c))
-    _require_finite(hnorm_sq, f"|w|^2 at t = {t:g}")
-    _require_finite(c_sq, f"c^2 at t = {t:g}")
-    c_sq_expected = (t * t / 8.0) * batch.form.frobenius_sq()
-    if batch.steps is not None:
-        c_sq_expected *= 1.0 - 1.0 / batch.steps
     return {
-        "hnorm_sq": _mc_from_values(hnorm_sq),
-        "c_sq": _mc_from_values(c_sq),
+        "hnorm_sq": _mc_from_values(hnorm_sq, f"|w|^2 at t = {t:g}"),
+        "c_sq": _mc_from_values(c_sq, f"c^2 at t = {t:g}"),
         "hnorm_sq_expected": batch.form.dim * t,
-        "c_sq_expected": c_sq_expected,
+        "c_sq_expected": (t * t / 8.0) * batch.form.frobenius_sq(),
     }

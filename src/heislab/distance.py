@@ -146,7 +146,8 @@ def _optimal_segments(a: np.ndarray, z: np.ndarray, K: int, c: float) -> np.ndar
         if eps >= math.pi:
             return 0.0
         psi, amp = shape(eps)
-        return float(amp**2 @ (a * (np.sin(np.outer(psi, m)) @ lever)))
+        with np.errstate(over="ignore"):  # inf as eps -> 0, which ends the halving below
+            return float(amp**2 @ (a * (np.sin(np.outer(psi, m)) @ lever)))
 
     target = abs(c)
     extra = 0.0  # area of the regular K-gon added to the first top block
@@ -168,7 +169,8 @@ def _optimal_segments(a: np.ndarray, z: np.ndarray, K: int, c: float) -> np.ndar
     first = amp * np.exp(1j * (np.angle(z) - 0.5 * (K - 1) * turn))
     if extra > 0.0 and K > 2:  # a closed 2-gon sweeps no area
         j = int(np.flatnonzero(top)[0])
-        first[j] = math.sqrt(extra * 4.0 * math.tan(math.pi / K) / (K * a_max))
+        # 2 sqrt(x) is sqrt(4 x) to the bit, and does not overflow as 4 x may
+        first[j] = 2.0 * math.sqrt(extra * math.tan(math.pi / K) / (K * a_max))
     return first[None, :] * np.exp(1j * np.arange(K)[:, None] * turn[None, :])
 
 

@@ -153,10 +153,12 @@ def lsi_ratio(
     vals, gsq = _per_sample(batch, cfg.t, m, kernel)
     _require_finite(vals, f"{f.name} at t = {cfg.t:g}")
     _require_finite(gsq, f"grad_H {f.name} at t = {cfg.t:g}")
-    fsq = vals * vals
-    ylog = _xlogx(fsq)
-    a, b, c = float(np.mean(ylog)), float(np.mean(fsq)), float(np.mean(gsq))
-    cov = np.cov(np.stack([ylog, fsq, gsq]), ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        fsq = vals * vals
+        ylog = _xlogx(fsq)
+        a, b, c = float(np.mean(ylog)), float(np.mean(fsq)), float(np.mean(gsq))
+        cov = np.cov(np.stack([ylog, fsq, gsq]), ddof=1)
+    _require_finite(np.append(cov, (a, b, c)), f"the moments of {f.name} at t = {cfg.t:g}")
     h = _entropy_from_moments(a, b)
     d_b = -(1.0 + math.log(b)) if b > _TINY else 0.0
 

@@ -60,9 +60,7 @@ GROUP_TOL = 1e-12          # relative, all six group laws
 FRAME_ROTATIONS = 50
 CALC_TOL = 1e-8            # relative, frame invariance and product rule
 QUOTIENT_TOL = 1e-12       # relative, pointwise quotient relations
-MC_SAMPLES = 200_000       # criterion batch: n=1, t=1, 1000 steps
-MC_STEPS = 1_000
-DISCRETE_ALLOWANCE = 0.25 / MC_STEPS  # documented O(1/N) bias of E[c^2]
+MC_SAMPLES = 200_000       # criterion batch: n=1, t=1, the exact law
 HEAT_FUNCTIONS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 RATIO_T_GRID = (0.5, 1.0, 2.0)
 SCAN_DIMS = tuple(range(1, 9))
@@ -90,14 +88,14 @@ def _within_cap(num, elapsed):
 @functools.lru_cache(maxsize=None)
 def _n1_setup():
     form = make_isotropic_form(1)
-    batch = sample_unit_endpoints([form], steps=MC_STEPS, base_seed=42, m=MC_SAMPLES)[0]
+    batch = sample_unit_endpoints([form], steps=None, base_seed=42, m=MC_SAMPLES)[0]
     return form, batch
 
 
 @functools.lru_cache(maxsize=None)
 def _n4_setup():
     form = make_isotropic_form(4)
-    batch = sample_unit_endpoints([form], steps=200, base_seed=42, m=100_000)[0]
+    batch = sample_unit_endpoints([form], steps=None, base_seed=42, m=100_000)[0]
     return form, batch
 
 
@@ -254,18 +252,15 @@ def test_02_calculus_identities():
 def test_03_endpoint_statistics():
     t0 = time.perf_counter()
     form, batch = _n1_setup()
-    cfg = PathConfig(t=1.0, steps=MC_STEPS, base_seed=42)
+    cfg = PathConfig(t=1.0, base_seed=42)
 
     moments = endpoint_moments(batch, 1.0)
     h = moments["hnorm_sq"]
     c2 = moments["c_sq"]
     gap_h = abs(h.mean - 2.0)
     gap_c = abs(c2.mean - 0.25)
-    # The discrete area estimator is biased low by exactly 0.25/N at t=1;
-    # that allowance (0.1% here) stays below the documented 1% budget.
-    assert DISCRETE_ALLOWANCE <= 0.01 * 0.25
     ok_h = gap_h <= 3.0 * h.std_error
-    ok_c = gap_c <= 3.0 * c2.std_error + DISCRETE_ALLOWANCE
+    ok_c = gap_c <= 3.0 * c2.std_error
 
     residuals = []
     for sel in HEAT_FUNCTIONS:
@@ -278,8 +273,8 @@ def test_03_endpoint_statistics():
     ok = ok_h and ok_c and ok_heat and _within_cap(3, elapsed)
     heat_str = ", ".join(f"{s}:{r:.1e}<=?{b:.1e}" for s, r, b in residuals)
     detail = (
-        f"m={MC_SAMPLES} N={MC_STEPS}: |E|w|^2-2|={gap_h:.1e}<=?{3 * h.std_error:.1e}, "
-        f"|E c^2-0.25|={gap_c:.1e}<=?{3 * c2.std_error:.1e}+{DISCRETE_ALLOWANCE:.1e}, "
+        f"m={MC_SAMPLES} exact law: |E|w|^2-2|={gap_h:.1e}<=?{3 * h.std_error:.1e}, "
+        f"|E c^2-0.25|={gap_c:.1e}<=?{3 * c2.std_error:.1e}, "
         f"heat({heat_str}), {elapsed:.1f}s < {TIME_CAPS[3]}s"
     )
     assert _verdict(3, "endpoint-statistics", ok, detail), detail
@@ -288,10 +283,10 @@ def test_03_endpoint_statistics():
 def test_04_closed_form_ratio():
     t0 = time.perf_counter()
     cells = []
-    for (form, batch), steps in ((_n1_setup(), MC_STEPS), (_n4_setup(), 200)):
+    for form, batch in (_n1_setup(), _n4_setup()):
         f = make_registry_function("exp_linear(0.5)", form.dim)
         for t in RATIO_T_GRID:
-            cfg = PathConfig(t=t, steps=steps, base_seed=42)
+            cfg = PathConfig(t=t, base_seed=42)
             rep = lsi_ratio(form, cfg, f, m=batch.m, batch=batch)
             cells.append((form.n, t, rep))
     ok_cells = all(
@@ -352,7 +347,7 @@ def test_06_quotient_bitwise():
     form, batch = _n1_setup()
     checks = []
     for t in (1.0, 1.7):
-        cfg = PathConfig(t=t, steps=MC_STEPS, base_seed=42)
+        cfg = PathConfig(t=t, base_seed=42)
         for sel in ("poly_radial", "exp_linear(0.5)", "cos_theta"):
             f = make_registry_function(sel, form.dim)
             rep = quotient_invariance_report(form, cfg, f, m=MC_SAMPLES, batch=batch)

@@ -10,6 +10,7 @@ from heislab import (
     CylinderFunction,
     GroupElement,
     LieVector,
+    PathConfig,
     Projection,
     ReducedElement,
     REGISTRY_DEFAULT_SELECTION,
@@ -24,6 +25,7 @@ from heislab import (
     multiply,
     multiply_functions,
     quotient,
+    quotient_invariance_report,
     registry_names,
     sub_laplacian,
 )
@@ -353,6 +355,18 @@ class TestQuotientComposition:
                     F=lambda wp, v: np.asarray(v, float) + np.exp(1000.0 * wp[..., 0]))
         with pytest.raises(ValueError):
             replace(honest, name="nan_liar", F=lambda wp, v: np.full(np.shape(v), np.nan))
+
+    def test_periodicity_probe_runs_once(self, iso1, batch_iso1, monkeypatch):
+        # the lift of a checked function is periodic, so neither it nor a
+        # quotient report, which builds one, probes again
+        probed = []
+        probe = CylinderFunction._check_periodicity
+        monkeypatch.setattr(CylinderFunction, "_check_periodicity",
+                            lambda self: (probed.append(self.name), probe(self)))
+        f = make_registry_function("cos_theta", 2)
+        assert compose_with_quotient(f).periodic
+        quotient_invariance_report(iso1, PathConfig(), f, m=100, batch=batch_iso1)
+        assert probed == ["cos_theta"]
 
     def test_pointwise_identity_is_bitwise(self, iso1):
         f = make_registry_function("cos_theta", 2)

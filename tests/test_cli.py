@@ -293,11 +293,15 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("sub, extra, what", [
-        ("simulate", [], "|w|^2"),
+        ("simulate", [], "|w|^2 at t = 1e+308"),
         # one lambda, so the message does not hinge on which lambda's samples
         # overflow first
-        ("levy-cf", ["--set", "lambdas = 0.5"], "cos(0.5 c)"),
-    ], ids=["simulate", "levy-cf"])
+        ("levy-cf", ["--set", "lambdas = 0.5"], "cos(0.5 c) at t = 1e+308"),
+        # every c^2 is finite, but the squares in its standard error are not;
+        # the c_sq row would otherwise pass with an infinite standard error
+        ("simulate", ["--set", "t = 1e150", "--set", "m = 2000"],
+         "the mean and standard error of c^2 at t = 1e+150"),
+    ], ids=["simulate", "levy-cf", "simulate-moments"])
     def test_overflowing_samples_exit_two(self, runner, tmp_path, sub, extra, what):
         # the moments and the characteristic function would otherwise be null
         # rows; |w|^2 and cos(0.5 c) are integrable, their samples overflow
@@ -305,7 +309,7 @@ class TestExitCodes:
         res = runner.invoke(main, [sub, "--set", "t = 1e308", "--set", "m = 100", *extra,
                                    "--out", str(out)])
         assert res.exit_code == 2
-        assert f"error: {sub}: {what} at t = 1e+308 " in res.stderr
+        assert f"error: {sub}: {what} " in res.stderr
         assert "overflowed" in res.stderr and "integrable" not in res.stderr
         assert not out.exists()
 
@@ -538,3 +542,9 @@ class TestLevyCf:
         a = np.array([1.3, 0.7, 2.9])
         assert (row["t"], row["lambda"]) == (1.0, 1.0)
         assert row["reference"] == float(np.prod(1.0 / np.cosh(a * 1.0 * 1.0 / 2.0)))
+        # far out, cosh overflows to inf and the reference is 0, with no warning
+        res = runner.invoke(main, ["levy-cf", "--set", "m = 2000", "--set", "t = 1e300",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = json.loads(_read(out / "report.json"))["results"]["char_function"]
+        assert rows and all(row["reference"] == 0.0 for row in rows)

@@ -182,6 +182,7 @@ def fiber_cases(draw):
 
 FIBER_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 TINY_C_CASE = (make_nonisotropic_form((0.5, 1.0)), np.array([0.0, 3.0, 0.0, 3.0]), 11)
+HUGE_C_CASE = (make_isotropic_form(1), np.array([3.0, 4.0]), 64)  # the CLI's default target_w
 
 
 class TestNearestFiber:
@@ -203,6 +204,10 @@ class TestNearestFiber:
     @example(TINY_C_CASE, 1e-300, 1e-12)
     @example(TINY_C_CASE, -1e-20, 1e-12)
     @example(TINY_C_CASE, 1e-12, 1.0)
+    # huge |c|: with w != 0 the area overflows to inf on the way to its root;
+    # with w = 0 the regular K-gon's side must not go through 4 |c|
+    @example(HUGE_C_CASE, 1e307, 1e308)
+    @example((HUGE_C_CASE[0], np.zeros(2), 64), 1e307, -1e308)
     def test_estimate_is_nondecreasing_in_abs_c(self, case, c1, c2):
         form, w, K = case
         near, far = sorted((c1, c2), key=abs)

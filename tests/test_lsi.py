@@ -214,6 +214,12 @@ class TestScan:
         assert bad.status == STATUS_ERROR
         assert bad.f_name == "exp_linear(1000)" and bad.message
         assert math.isnan(bad.entropy) and bad.ratio is None and bad.passed is None
+        # exp_linear(100): finite samples whose second moments overflow, which
+        # would otherwise read as an energy below its noise floor
+        cell, = lsi_scan(["isotropic"], dims=(1,), t_list=(1.0,),
+                         f_registry=("exp_linear(100)",), m=2000, base_seed=42)
+        assert cell.status == STATUS_ERROR
+        assert cell.message.startswith("the moments of exp_linear(100) at t = 1 ")
 
     def test_empty_family_list_rejected(self):
         with pytest.raises(ValueError, match="form families"):
