@@ -6,7 +6,8 @@ summary bodies are byte-identical across reruns with the same config;
 wall-clock information lives only in the manifest.  Each artifact is
 renamed into place whole, and the manifest, written last, marks a complete
 run.  Exit codes: 0 success, 1 when at least one emitted row has
-pass=false, 2 on configuration errors, non-finite samples or output errors.
+pass=false, 2 on configuration errors, non-finite samples, a run too large
+to allocate, or output errors.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .group import GroupElement, ReducedElement, wrap_angle
 from .lsi import lsi_scan, quotient_invariance_report
 from .model import SymplecticForm
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 HEAT_DEFAULT_FS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 QUOTIENT_DEFAULT_FS = ("cos_theta",)
@@ -127,7 +128,7 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
                     "pass": abs(gap) <= 3.0 * est.std_error,
                 }
             )
-    payload = _Payload(results={"moments": rows, "m": cfg.m}, rows=rows)
+    payload = _Payload(results={"moments": rows}, rows=rows)
     if dump_endpoints:
         t0 = cfg.t[0]
         w = batch.w_at(t0)
@@ -143,7 +144,6 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
             for i in range(batch.m)
         ]
         payload.results["endpoints_csv_ref"] = "endpoints.csv"
-        payload.results["endpoints_t"] = float(t0)
     return payload
 
 
@@ -168,7 +168,7 @@ def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                     "pass": rep.passed,
                 }
             )
-    return _Payload(results={"heat_check": rows, "m": cfg.m}, rows=rows)
+    return _Payload(results={"heat_check": rows}, rows=rows)
 
 
 def _worst_cells(cells, t: float, key: str) -> dict:
@@ -244,7 +244,7 @@ def _run_quotient_check(cfg: ExperimentConfig, workers: int) -> _Payload:
                     "pass": rep.bitwise_equal,
                 }
             )
-    return _Payload(results={"quotient_check": rows, "m": cfg.m}, rows=rows)
+    return _Payload(results={"quotient_check": rows}, rows=rows)
 
 
 def _run_distance(cfg: ExperimentConfig) -> _Payload:
@@ -262,7 +262,6 @@ def _run_distance(cfg: ExperimentConfig) -> _Payload:
         "estimate": res.estimate,
         "residual": res.c_residual,
         "winning_k": res.winning_k,
-        "K": cfg.K,
         "converged": res.converged,
         "pass": res.converged,
     }
@@ -302,9 +301,12 @@ def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
         first = len(rows)
         for pt in points:
             ref = _levy_reference(form, pt.lam, float(t))
-            ok = abs(pt.cos_mean - ref) <= 3.0 * pt.cos_se + pt.allowance and abs(
-                pt.sin_mean
-            ) <= 3.0 * pt.sin_se + 1e-12
+            band = 3.0 * pt.cos_se + pt.allowance
+            # the mean of cos(lam c) and the reference both lie in [-1, 1]: a band
+            # of 2 or more passes any sample, so the cosine has no verdict
+            ok = abs(pt.sin_mean) <= 3.0 * pt.sin_se + 1e-12 and (
+                None if band >= 2.0 else abs(pt.cos_mean - ref) <= band
+            )
             rows.append(
                 {
                     "t": float(t),
@@ -320,9 +322,7 @@ def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
         for name, col in (("cf_curve", "cos_mean"), ("cf_reference", "reference")):
             pairs = [(row["lambda"], row[col]) for row in rows[first:]]
             extra[f"{name}_t{idx}.dat"] = (f"lambda {col}", pairs)
-    return _Payload(
-        results={"char_function": rows, "m": cfg.m}, rows=rows, extra_files=extra
-    )
+    return _Payload(results={"char_function": rows}, rows=rows, extra_files=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def run(
         for msg in exc.errors:
             click.echo(f"config error: {msg}", err=True)
         return 2
-    except RuntimeError as exc:  # an estimator met non-finite samples
+    except (RuntimeError, MemoryError) as exc:  # non-finite samples, or m too large
         click.echo(f"error: {subcommand}: {exc}", err=True)
         return 2
 
@@ -410,7 +410,6 @@ def run(
             "schema_version": SCHEMA_VERSION,
             "subcommand": subcommand,
             "config": echo_lines,
-            "config_defaults": canonical_text(ExperimentConfig()).splitlines(),
             "seed": cfg.seed,
             "versions": {
                 "python": platform.python_version(),

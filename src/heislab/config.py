@@ -38,7 +38,6 @@ __all__ = [
     "format_value",
 ]
 
-_FORM_KINDS = ("isotropic", "nonisotropic", "trace_class")
 # Largest polygon segment count.  The distance solver's arrays hold K + 1
 # nodes, so K = 10**8 asks for gigabytes; the cap keeps them to megabytes.
 _K_MAX = 100_000
@@ -54,7 +53,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    form: str = "isotropic"
     weights: Optional[Tuple[float, ...]] = None
     n: int = 1
     projection: Optional[Tuple[int, ...]] = None
@@ -72,10 +70,6 @@ class ExperimentConfig:
     scan_forms: Tuple[str, ...] = ("isotropic", "ascending_weights")
     target_w: Tuple[float, ...] = (3.0, 4.0)
     target_c: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
 
     def f_or_default(self, default: Tuple[str, ...] = REGISTRY_DEFAULT_SELECTION):
         return self.f if self.f else tuple(default)
@@ -163,12 +157,6 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig, explicit) -> list:
     errors = []
-    if cfg.form not in _FORM_KINDS:
-        errors.append(f"form must be one of {_FORM_KINDS}, got {cfg.form!r}")
-    if cfg.form == "isotropic" and cfg.weights is not None:
-        errors.append("weights apply only to form = nonisotropic | trace_class")
-    if cfg.form in ("nonisotropic", "trace_class") and cfg.weights is None:
-        errors.append(f"form = {cfg.form} requires the `weights` key")
     if cfg.weights is not None:
         if any(v <= 0 for v in cfg.weights):
             errors.append("weights must be positive")
@@ -205,12 +193,10 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
             make_registry_function(sel, 2 * max(n_eff, 1))
         except ValueError as exc:
             errors.append(f"bad f selector {sel!r}: {exc}")
-    if not errors and cfg.form in _FORM_KINDS:
+    if not errors:
         form = None
         try:
-            form = build_form(
-                ExperimentConfig(form=cfg.form, weights=cfg.weights, n=n_eff)
-            )
+            form = build_form(cfg)
         except ValueError as exc:
             errors.append(f"cannot build form: {exc}")
         if form is not None and cfg.projection is not None:
@@ -231,16 +217,14 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
 
 
 def build_form(cfg: ExperimentConfig) -> SymplecticForm:
-    """Construct the SymplecticForm of a validated config.
-
-    `trace_class` is an alias of `nonisotropic`: the realified weighted
-    pairing Im<w, z>_Q is the block form with weights q.
+    """Construct the SymplecticForm of a validated config: isotropic on n
+    blocks when `weights` is unset, else the block form with those weights,
+    which is the realified pairing Im<w, z>_Q of a trace-class Q with
+    eigenvalues q.
     """
-    if cfg.form == "isotropic":
+    if cfg.weights is None:
         return make_isotropic_form(cfg.n)
-    if cfg.form in ("nonisotropic", "trace_class"):
-        return make_nonisotropic_form(cfg.weights)
-    raise ValueError(f"unknown form kind {cfg.form!r}")
+    return make_nonisotropic_form(cfg.weights)
 
 
 def build_projection(cfg: ExperimentConfig, form: SymplecticForm) -> Projection:

@@ -108,10 +108,6 @@ class GroupElement:
         object.__setattr__(self, "w", _as_vector(self.w))
         object.__setattr__(self, "c", _as_finite(self.c, "vertical coordinate"))
 
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
 
 @dataclass(frozen=True)
 class ReducedElement:
@@ -126,10 +122,6 @@ class ReducedElement:
         if not 0.0 <= th < TWO_PI:
             raise ValueError("theta must lie in [0, 2*pi); use quotient/wrap_angle")
         object.__setattr__(self, "theta", th)
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
 
 
 @dataclass(frozen=True)

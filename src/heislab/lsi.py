@@ -74,20 +74,16 @@ class LsiReport:
     f_name: str
     n: int
     t: float
-    m: int
     entropy: float
     entropy_se: float
     energy: float
     energy_se: float
     ratio: Optional[float]
     ratio_se: Optional[float]
-    c_ref: float
     bound: float
     passed: Optional[bool]
     status: str
     message: str = ""
-    space: str = SPACE_FULL
-    base_seed: int = 42
 
     def row(self) -> dict:
         """Flat mapping used by the CSV/JSON emitters."""
@@ -113,11 +109,9 @@ def _entropy_from_moments(a: float, b: float) -> float:
     return a - b * math.log(b)
 
 
-def _cell(form_name: str, f: CylinderFunction, n: int, cfg: PathConfig, m: int,
-          c_ref: float, space: str) -> dict:
+def _cell(form_name: str, f: CylinderFunction, n: int, t: float, c_ref: float) -> dict:
     """The LsiReport fields that name a cell, shared by every status."""
-    return dict(form_name=form_name, f_name=f.name, n=n, t=cfg.t, m=m, c_ref=c_ref,
-                bound=c_ref * cfg.t, space=space, base_seed=cfg.base_seed)
+    return dict(form_name=form_name, f_name=f.name, n=n, t=t, bound=c_ref * t)
 
 
 def lsi_ratio(
@@ -167,7 +161,7 @@ def lsi_ratio(
 
     energy_se = math.sqrt(max(float(cov[2, 2]), 0.0) / m)
     base = dict(
-        _cell(form_name, f, form.n, cfg, m, c_ref, space),
+        _cell(form_name, f, form.n, cfg.t, c_ref),
         entropy=h,
         entropy_se=se(np.array([1.0, d_b, 0.0])),
         energy=c,
@@ -240,7 +234,7 @@ def lsi_scan(
                         )
                     except (RuntimeError, ValueError) as exc:
                         rep = LsiReport(
-                            **_cell(name, f, n, cfg, m, c_ref, space),
+                            **_cell(name, f, n, cfg.t, c_ref),
                             entropy=math.nan,
                             entropy_se=math.nan,
                             energy=math.nan,

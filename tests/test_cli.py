@@ -62,7 +62,7 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 9
+        assert report["schema_version"] == 10
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
         assert len(report["config"]) == ECHO
@@ -74,7 +74,8 @@ class TestSimulate:
         assert by_key[(1.0, "hnorm_sq")]["expected"] == 2.0
         # the exact law's reference is the continuum one; N is not read
         assert by_key[(1.0, "c_sq")]["expected"] == 0.25
-        assert "N" not in report["results"]
+        # the results hold no copy of a configured value; the echo states each once
+        assert set(report["results"]) == {"moments"}
 
         csv_lines = _read(out / "summary.csv").splitlines()
         echo = [ln for ln in csv_lines if ln.startswith("# ")]
@@ -84,11 +85,11 @@ class TestSimulate:
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 9
+        assert manifest["schema_version"] == 10
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
         assert manifest["seed"] == 42
         assert "wall_time_s" in manifest and "generated_unix" in manifest
-        assert manifest["config_defaults"][0].startswith("K = ")
+        assert manifest["config"] == report["config"] and "config_defaults" not in manifest
         # timing never leaks into the deterministic artifacts
         assert "wall_time" not in _read(out / "report.json")
 
@@ -102,7 +103,7 @@ class TestSimulate:
         assert len(lines) == ECHO + 1 + 400
         report = json.loads(_read(out / "report.json"))
         assert report["results"]["endpoints_csv_ref"] == "endpoints.csv"
-        assert report["results"]["endpoints_t"] == 1.0
+        assert "endpoints_t" not in report["results"]  # the endpoints are at the first t
 
     def test_default_out_dir_name(self, runner):
         with runner.isolated_filesystem():
@@ -166,12 +167,14 @@ class TestExitCodes:
         assert report["results"]["cells"][0]["passed"] is False
 
     def test_unknown_key_exits_two(self, runner, tmp_path):
-        # delta_t was the central-difference step of heat-check and k_window
-        # the fiber window of distance; there is no scheme key, every
-        # subcommand samples the exact law
+        # delta_t was the central-difference step of heat-check, k_window
+        # the fiber window of distance and form the name of the form, which
+        # the weights give; there is no scheme key, every subcommand samples
+        # the exact law
         out = tmp_path / "o"
         for sub, item in (("simulate", "bogus = 1"), ("heat-check", "delta_t = 0.05"),
-                          ("simulate", "scheme = bogus"), ("distance", "k_window = 2")):
+                          ("simulate", "scheme = bogus"), ("distance", "k_window = 2"),
+                          ("simulate", "form = isotropic")):
             res = runner.invoke(main, [sub, "--set", item, "--out", str(out)])
             assert res.exit_code == 2
             assert "config error" in res.stderr
@@ -214,6 +217,16 @@ class TestExitCodes:
         res = runner.invoke(main, ["distance", "--set", "K = 100000000", "--out", str(out)])
         assert res.exit_code == 2
         assert res.stderr == "config error: K must be <= 100000\n"
+        assert not out.exists()
+
+    def test_sample_too_large_to_allocate_exits_two(self, runner, tmp_path):
+        # the sampler's first np.empty asks for 8e17 bytes, more than any
+        # address space holds, so it fails at once and allocates nothing
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["simulate", "--set", "m = 100000000000000000",
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: simulate: Unable to allocate ")
         assert not out.exists()
 
     def test_non_finite_selector_parameter_exits_two(self, runner, tmp_path):
@@ -343,7 +356,7 @@ SUMMARY_HEADERS = {
     "lsi-scan": "n,t,form,f,entropy,entropy_se,energy,energy_se,ratio,ratio_se,bound,pass",
     "quotient-check": "t,f,value_max_diff,gradsq_max_diff,l2_reduced,l2_lifted,"
                       "entropy_reduced,entropy_lifted,energy_reduced,energy_lifted,pass",
-    "distance": "estimate,residual,winning_k,K,converged,pass",
+    "distance": "estimate,residual,winning_k,converged,pass",
     "levy-cf": "t,lambda,cos_mean,cos_se,sin_mean,sin_se,reference,pass",
 }
 SMALL = "m = 400\nN = 20\ndims = 1\nK = 8\n"
@@ -414,12 +427,11 @@ class TestLsiScan:
         cells = report["results"]["cells"]
         assert len(cells) == 2 * 2 * 2  # dims x families x functions at one t
         expected_keys = {
-            "form_name", "f_name", "n", "t", "m", "entropy", "entropy_se",
-            "energy", "energy_se", "ratio", "ratio_se", "c_ref", "bound",
-            "passed", "status", "message", "space", "base_seed",
+            "form_name", "f_name", "n", "t", "entropy", "entropy_se",
+            "energy", "energy_se", "ratio", "ratio_se", "bound",
+            "passed", "status", "message",
         }
         assert set(cells[0]) == expected_keys
-        assert cells[0]["space"] == "G" and cells[0]["base_seed"] == 42
         summaries = report["results"]["summaries"]["1.0"]
         assert set(summaries) == {"per_dimension_max", "per_form_max"}
         assert set(summaries["per_dimension_max"]) == {"1", "2"}
@@ -534,7 +546,7 @@ class TestLevyCf:
         # the exact weights, not singular values that round them
         out = tmp_path / "cf"
         res = runner.invoke(main, [
-            "levy-cf", "--set", "m = 200", "--set", "N = 5", "--set", "form = trace_class",
+            "levy-cf", "--set", "m = 200", "--set", "N = 5",
             "--set", "weights = 1.3, 0.7, 2.9", "--set", "lambdas = 1", "--out", str(out),
         ])
         assert res.exit_code in (0, 1), res.output
@@ -542,9 +554,12 @@ class TestLevyCf:
         a = np.array([1.3, 0.7, 2.9])
         assert (row["t"], row["lambda"]) == (1.0, 1.0)
         assert row["reference"] == float(np.prod(1.0 / np.cosh(a * 1.0 * 1.0 / 2.0)))
-        # far out, cosh overflows to inf and the reference is 0, with no warning
+        # far out, cosh overflows to inf and the reference is 0, with no
+        # warning; the truncation allowance is infinite there, wider than the 2
+        # that separates any two values in [-1, 1], so no row has a verdict
         res = runner.invoke(main, ["levy-cf", "--set", "m = 2000", "--set", "t = 1e300",
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
         rows = json.loads(_read(out / "report.json"))["results"]["char_function"]
         assert rows and all(row["reference"] == 0.0 for row in rows)
+        assert all(row["pass"] is None for row in rows)

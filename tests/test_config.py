@@ -25,7 +25,7 @@ class TestDefaults:
     def test_empty_document(self):
         cfg = parse_config("")
         assert cfg == ExperimentConfig()
-        assert cfg.form == "isotropic" and cfg.n == 1 and cfg.dim == 2
+        assert cfg.n == 1
         assert cfg.t == (1.0,) and cfg.N == 1000 and cfg.m == 200000
         assert cfg.seed == 42 and cfg.c_ref == 4.0 and cfg.space == "G"
         assert cfg.K == 64
@@ -77,14 +77,14 @@ class TestParsing:
         assert cfg.weights is None and cfg.projection is None
 
     def test_n_inferred_from_weights(self):
-        cfg = parse_config("form = nonisotropic\nweights = 1, 2, 3")
-        assert cfg.n == 3 and cfg.dim == 6
+        cfg = parse_config("weights = 1, 2, 3")
+        assert cfg.n == 3
 
     def test_explicit_n_must_agree_with_weights(self):
-        cfg = parse_config("form = nonisotropic\nweights = 1, 2\nn = 2")
+        cfg = parse_config("weights = 1, 2\nn = 2")
         assert cfg.n == 2
         with pytest.raises(ConfigError, match="conflicts"):
-            parse_config("form = nonisotropic\nweights = 1, 2\nn = 3")
+            parse_config("weights = 1, 2\nn = 3")
 
 
 class TestErrorCollection:
@@ -129,10 +129,8 @@ class TestErrorCollection:
             ("c_ref = 0", "c_ref"),
             ("dims = 0,1", "dims"),
             ("n = 0", "n must be >= 1"),
-            ("form = diagonal", "form must be one of"),
-            ("weights = 1,2", "weights apply only"),
-            ("form = nonisotropic", "requires the `weights` key"),
-            ("form = nonisotropic\nweights = 1,-2", "weights must be positive"),
+            ("form = trace_class", "unknown key 'form'"),  # the weights name the form
+            ("weights = 1,-2", "weights must be positive"),
             ("scan_forms = isotropic,diagonal", "unknown form family"),
             ("f = poly_radial,nope", "bad f selector"),
         ],
@@ -176,15 +174,16 @@ class TestBuildForm:
         assert form.n == 3 and form.omega[0, 1] == 1.0
 
     def test_nonisotropic(self):
-        form = build_form(parse_config("form = nonisotropic\nweights = 2, 5"))
+        form = build_form(parse_config("weights = 2, 5"))
         assert form.omega[0, 1] == 2.0 and form.omega[2, 3] == 5.0
 
     def test_trace_class(self):
-        # an alias: Im<w, z>_Q realified is the block form with weights q
-        form = build_form(parse_config("form = trace_class\nweights = 1, 0.5"))
-        noniso = build_form(parse_config("form = nonisotropic\nweights = 1, 0.5"))
-        assert np.array_equal(form.omega, noniso.omega)
+        # Im<w, z>_Q realified is the block form with the eigenvalues q of Q
+        # as weights; equal weights of 1 give the isotropic form
+        form = build_form(parse_config("weights = 1, 0.5"))
         assert form.omega[0, 1] == 1.0 and form.omega[2, 3] == 0.5
+        ones = build_form(parse_config("weights = 1, 1"))
+        assert np.array_equal(ones.omega, build_form(parse_config("n = 2")).omega)
 
 
 class TestCanonicalText:
@@ -192,7 +191,7 @@ class TestCanonicalText:
         cfg = parse_config("")
         text = canonical_text(cfg)
         lines = text.strip().split("\n")
-        assert len(lines) == len(fields(ExperimentConfig)) == 18
+        assert len(lines) == len(fields(ExperimentConfig)) == 17
         assert lines[0].startswith("K = ")
         assert lines == sorted(lines, key=lambda ln: ln.split(" = ")[0])
         assert parse_config(text) == cfg
@@ -201,10 +200,10 @@ class TestCanonicalText:
     @pytest.mark.parametrize(
         "doc",
         [
-            "form = nonisotropic\nweights = 1.5, 2.25\nt = 0.1, 1, 10\nm = 50",
+            "weights = 1.5, 2.25\nt = 0.1, 1, 10\nm = 50",
             "f = exp_linear(0.5), cos_theta\nspace = Gtilde\nseed = 7",
             "n = 4\nprojection = 1, 2, 5, 6\nout = results",
-            "form = trace_class\nweights = 1, 0.5\nK = 7\ntarget_c = -2.5",
+            "weights = 1, 0.5\nK = 7\ntarget_c = -2.5",
         ],
     )
     def test_roundtrip_nontrivial(self, doc):
@@ -230,7 +229,7 @@ _SELECTOR = st.sampled_from(
     ["poly_radial", "vertical_sq", "cos_theta", "exp_linear", "exp_linear(2)",
      "gauss_bump(1.0)", "gauss_bump( 0.25 )"]
 )
-# every key but form, weights, n and projection, which must agree with each other
+# every key but weights, n and projection, which must agree with each other
 _VALUES = {
     "t": _text_list(_POSITIVE),
     "N": st.integers(1, 10 ** 6).map(str),
@@ -251,13 +250,10 @@ _VALUES = {
 
 @st.composite
 def _documents(draw):
-    """A valid configuration document: a consistent form block plus any
-    subset of the other keys, in any order."""
+    """A valid configuration document: weights or n, a projection that fits
+    them, and any subset of the other keys, in any order."""
     lines = []
-    form = draw(st.sampled_from(["", "isotropic", "nonisotropic", "trace_class"]))
-    if form:
-        lines.append(f"form = {form}")
-    if form in ("nonisotropic", "trace_class"):
+    if draw(st.booleans()):
         weights = draw(st.lists(_WEIGHT, min_size=1, max_size=4))
         lines.append("weights = " + ", ".join(weights))
         n = len(weights)

@@ -215,7 +215,7 @@ class TestBlockedWalk:
         assert_walk_is_reference([form, make_isotropic_form(3)], 20, 25, 300)
 
     def test_trace_class_config_form(self):
-        cfg = parse_config("form = trace_class\nweights = 1, 0.25, 0.0625\n")
+        cfg = parse_config("weights = 1, 0.25, 0.0625\n")
         assert_walk_is_reference([build_form(cfg)], 40, 26, 150)
 
     @pytest.mark.parametrize("steps", [4096, 4097])

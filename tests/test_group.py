@@ -100,7 +100,7 @@ class TestElements:
         assert np.array_equal(e.w, np.zeros(4)) and e.c == 0.0
 
     def test_dim_property(self):
-        assert GroupElement([1.0, 2.0], 0.0).dim == 2
+        assert GroupElement([1.0, 2.0], 0.0).w.shape == (2,)
         assert LieVector(np.zeros(6), 1.0).A.shape == (6,)
 
 

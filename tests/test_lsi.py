@@ -61,7 +61,6 @@ class TestClosedForm:
         assert abs(rep.ratio - 2.0) <= 3.0 * rep.ratio_se
         assert rep.bound == DEFAULT_C_REF * 1.0
         assert rep.passed is True
-        assert rep.space == "G" and rep.base_seed == 42
         row = rep.row()
         assert row["form"] == "custom" and row["f"] == "exp_linear(0.5)"
         assert row["pass"] is True and row["ratio"] == rep.ratio

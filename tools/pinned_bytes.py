@@ -21,14 +21,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from heislab.cli import run  # noqa: E402
 from heislab.config import parse_config  # noqa: E402
 
-BASE = "m = 2000\nN = 50\nt = 0.5, 1\n"
-TRACE_CLASS = BASE + "form = trace_class\nweights = 1, 0.5"
-TRACE_CLASS_DISTANCE = (
-    "form = trace_class\nweights = 1, 0.5\ntarget_w = 1.5, 0.5, -0.8, 1.2\ntarget_c = 2.5\nK = 16"
-)
-LSI_ERRORS = (
-    "m = 600\nN = 30\ndims = 1, 3\nf = exp_linear(1000), cos_theta, vertical_sq, poly_radial"
-)
+BASE = "m = 2000\nt = 0.5, 1\n"
+# the trace-class form: weights 1, 0.5 are the eigenvalues of Q
+TRACE_CLASS = BASE + "weights = 1, 0.5"
+TRACE_CLASS_DISTANCE = "weights = 1, 0.5\ntarget_w = 1.5, 0.5, -0.8, 1.2\ntarget_c = 2.5\nK = 16"
+LSI_ERRORS = "m = 600\ndims = 1, 3\nf = exp_linear(1000), cos_theta, vertical_sq, poly_radial"
 
 # name -> (subcommand, config text, --dump-endpoints)
 PINNED = {
