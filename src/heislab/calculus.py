@@ -21,6 +21,7 @@ is F plus two callables: `first` gives the partials the gradient reads and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -58,7 +59,9 @@ class CylinderFunction:
     first returns (dF/dw (..., 2m), dF/dc (...)) and second returns
     (lap_w (...), d2F/dwdc (..., 2m), d2F/dc2 (...)).  lap_w is the flat
     Laplacian sum_i d2F/dw_i2, the only part of the flat Hessian that the
-    sub-Laplacian reads.
+    sub-Laplacian reads.  A partial that vanishes identically is None, not
+    an array of zeros, and the operators skip every term it multiplies; each
+    callable returns at least one array.
 
     periodic=True declares 2*pi-periodicity in the vertical argument (checked
     at construction on a probe grid); only periodic functions may be read on
@@ -97,16 +100,27 @@ class CylinderFunction:
 
     def first_derivs(self, wp, v):
         """(dF/dw (..., 2m), dF/dc (...)) at the given points."""
-        gw, gv = self.first(np.asarray(wp, float), np.asarray(v, float))
-        return np.asarray(gw, float), np.asarray(gv, float)
+        return tuple(None if p is None else np.asarray(p, float)
+                     for p in self.first(np.asarray(wp, float), np.asarray(v, float)))
 
     def second_derivs(self, wp, v):
         """(sum_i d2F/dw_i2 (...), d2F/dwc (..., 2m), d2F/dcc (...))."""
-        lap, hwc, hcc = self.second(np.asarray(wp, float), np.asarray(v, float))
-        return np.asarray(lap, float), np.asarray(hwc, float), np.asarray(hcc, float)
+        return tuple(None if p is None else np.asarray(p, float)
+                     for p in self.second(np.asarray(wp, float), np.asarray(v, float)))
 
 
 # -- helpers ---------------------------------------------------------------
+
+
+def _sum(*terms):
+    """The terms that are not None, added left to right; None if all are."""
+    present = [x for x in terms if x is not None]
+    return sum(present[1:], present[0]) if present else None
+
+
+def _times(*factors):
+    """The factors multiplied left to right; None if one of them is."""
+    return None if any(x is None for x in factors) else functools.reduce(np.multiply, factors)
 
 
 def _vertical_of(f: CylinderFunction, g) -> float:
@@ -140,8 +154,8 @@ def left_invariant_derivative(
         raise ValueError("Lie vector dimension mismatch")
     v = _vertical_of(f, g)
     gw, gv = f.first_derivs(g.w[ix], v)
-    rate = X.a + 0.5 * form.pair(g.w, X.A)
-    return float(np.dot(gw, X.A[ix]) + rate * gv)
+    return float(_sum(None if gw is None else np.dot(gw, X.A[ix]),
+                      None if gv is None else (X.a + 0.5 * form.pair(g.w, X.A)) * gv))
 
 
 def horizontal_gradient(form: SymplecticForm, f: CylinderFunction, g) -> np.ndarray:
@@ -149,9 +163,8 @@ def horizontal_gradient(form: SymplecticForm, f: CylinderFunction, g) -> np.ndar
     ix = _check_compat(form, f, g)
     v = _vertical_of(f, g)
     gw, gv = f.first_derivs(g.w[ix], v)
-    u = form.pair_with_basis(g.w)  # omega(w, e_j) over all j
-    out = 0.5 * gv * u
-    out[ix] += gw
+    out = np.zeros(form.dim) if gv is None else 0.5 * gv * form.pair_with_basis(g.w)
+    out[ix] = _sum(out[ix], gw)
     return out
 
 
@@ -165,10 +178,9 @@ def sub_laplacian(form: SymplecticForm, f: CylinderFunction, g) -> float:
     ix = _check_compat(form, f, g)
     v = _vertical_of(f, g)
     lap, hwc, hcc = f.second_derivs(g.w[ix], v)
-    u = form.pair_with_basis(g.w)
-    return float(
-        lap + np.dot(u[ix], hwc) + 0.25 * np.dot(u, u) * hcc
-    )
+    u = None if hwc is None and hcc is None else form.pair_with_basis(g.w)
+    return float(_sum(lap, None if hwc is None else np.dot(u[ix], hwc),
+                      None if hcc is None else 0.25 * np.dot(u, u) * hcc))
 
 
 # -- batched evaluation over endpoint clouds --------------------------------
@@ -189,11 +201,14 @@ def _pairing(form: SymplecticForm, f: CylinderFunction, w: np.ndarray):
     return up, None if up is u else np.einsum("ij,ij->i", u, u) - np.einsum("ij,ij->i", up, up)
 
 
-def _grad_norm_sq(f: CylinderFunction, wp, v, up, tail) -> np.ndarray:
-    """The projected block, with the dF/dw term, plus the complement, pure
-    vertical coupling: ||gw + 0.5 gv u_P||^2 + 0.25 gv^2 tail."""
+def _grad_norm_sq(f: CylinderFunction, wp, v, pairing) -> np.ndarray:
+    """||gw + 0.5 gv u_P||^2 + 0.25 gv^2 tail: the projected block plus the complement, pure
+    vertical coupling.  pairing() gives (u_P, tail); it is called only if dF/dc is not None."""
     gw, gv = f.first_derivs(wp, v)
-    inner = gw + 0.5 * gv[:, None] * up
+    if gv is None:
+        return np.einsum("ij,ij->i", gw, gw)
+    up, tail = pairing()
+    inner = _sum(gw, 0.5 * gv[:, None] * up)
     full = np.einsum("ij,ij->i", inner, inner)
     return full if tail is None else full + 0.25 * gv * gv * tail
 
@@ -206,16 +221,16 @@ def grad_norm_sq_batch(
     form: SymplecticForm, f: CylinderFunction, w: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     """||grad_H f||^2 at stacked points; w is (m, 2n), v is (m,)."""
-    return _grad_norm_sq(f, _projected(f, w), v, *_pairing(form, f, w))
+    return _grad_norm_sq(f, _projected(f, w), v, lambda: _pairing(form, f, w))
 
 
 def sub_laplacian_batch(
     form: SymplecticForm, f: CylinderFunction, w: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     lap, hwc, hcc = f.second_derivs(_projected(f, w), v)
-    u = form.pair_with_basis(w)
-    return (lap + np.einsum("ij,ij->i", _projected(f, u), hwc)
-            + 0.25 * np.einsum("ij,ij->i", u, u) * hcc)
+    u = None if hwc is None and hcc is None else form.pair_with_basis(w)
+    return _sum(lap, None if hwc is None else np.einsum("ij,ij->i", _projected(f, u), hwc),
+                None if hcc is None else 0.25 * np.einsum("ij,ij->i", u, u) * hcc)
 
 
 # -- combinators ------------------------------------------------------------
@@ -252,16 +267,20 @@ def multiply_functions(f1: CylinderFunction, f2: CylinderFunction) -> CylinderFu
     def first(wp, v):
         a, b = f1.value(wp, v), f2.value(wp, v)
         (ga, va), (gb, vb) = f1.first_derivs(wp, v), f2.first_derivs(wp, v)
-        return ga * b[..., None] + a[..., None] * gb, va * b + a * vb
+        return (_sum(_times(ga, b[..., None]), _times(a[..., None], gb)),
+                _sum(_times(va, b), _times(a, vb)))
 
     def second(wp, v):
         a, b = f1.value(wp, v), f2.value(wp, v)
         (ga, va), (gb, vb) = f1.first_derivs(wp, v), f2.first_derivs(wp, v)
         (la, hwa, hca), (lb, hwb, hcb) = f1.second_derivs(wp, v), f2.second_derivs(wp, v)
+        dot = None if ga is None or gb is None else np.einsum("...i,...i->...", ga, gb)
+        va_col, vb_col = (None if x is None else x[..., None] for x in (va, vb))
         return (
-            la * b + 2.0 * np.einsum("...i,...i->...", ga, gb) + a * lb,
-            hwa * b[..., None] + ga * vb[..., None] + gb * va[..., None] + a[..., None] * hwb,
-            hca * b + 2.0 * va * vb + a * hcb,
+            _sum(_times(la, b), _times(2.0, dot), _times(a, lb)),
+            _sum(_times(hwa, b[..., None]), _times(ga, vb_col), _times(gb, va_col),
+                 _times(a[..., None], hwb)),
+            _sum(_times(hca, b), _times(2.0, va, vb), _times(a, hcb)),
         )
 
     return CylinderFunction(
@@ -285,19 +304,13 @@ REGISTRY_DEFAULT_SELECTION = (
 )
 
 
-def _zeros_scalar(wp, v):
-    return np.zeros(np.broadcast(wp[..., 0], v).shape)
-
-
 def _make_poly_radial(dim: int) -> CylinderFunction:
     return CylinderFunction(
         name="poly_radial",
         projection=full_projection(dim),
         F=lambda wp, v: np.einsum("...i,...i->...", wp, wp),
-        first=lambda wp, v: (2.0 * wp, _zeros_scalar(wp, v)),
-        second=lambda wp, v: (
-            np.full(wp.shape[:-1], 2.0 * wp.shape[-1]), np.zeros(wp.shape), _zeros_scalar(wp, v)
-        ),
+        first=lambda wp, v: (2.0 * wp, None),
+        second=lambda wp, v: (np.full(wp.shape[:-1], 2.0 * wp.shape[-1]), None, None),
         periodic=True,  # no vertical dependence
     )
 
@@ -308,8 +321,8 @@ def _vertical_only(name: str, F, dF, d2F, periodic: bool) -> CylinderFunction:
         name=name,
         projection=Projection((1, 2)),  # any even block works; F ignores wp
         F=lambda wp, v: F(np.asarray(v, float)),
-        first=lambda wp, v: (np.zeros(wp.shape), dF(np.asarray(v, float))),
-        second=lambda wp, v: (_zeros_scalar(wp, v), np.zeros(wp.shape), d2F(np.asarray(v, float))),
+        first=lambda wp, v: (None, dF(np.asarray(v, float))),
+        second=lambda wp, v: (None, None, d2F(np.asarray(v, float))),
         periodic=periodic,
     )
 
@@ -336,14 +349,14 @@ def _make_exp_linear(dim: int, lam: float = 0.5) -> CylinderFunction:
     def first(wp, v):
         gw = np.zeros(wp.shape)
         gw[..., 0] = lam * F(wp, v)
-        return gw, _zeros_scalar(wp, v)
+        return gw, None
 
     return CylinderFunction(
         name=f"exp_linear({lam:g})",
         projection=Projection((1, 2)),
         F=F,
         first=first,
-        second=lambda wp, v: (lam * lam * F(wp, v), np.zeros(wp.shape), _zeros_scalar(wp, v)),
+        second=lambda wp, v: (lam * lam * F(wp, v), None, None),
         periodic=True,
     )
 

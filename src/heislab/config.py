@@ -199,6 +199,9 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
             form = build_form(cfg)
         except ValueError as exc:
             errors.append(f"cannot build form: {exc}")
+        except MemoryError:  # Omega is a dense 2n x 2n array
+            key = "n" if cfg.weights is None else "weights"
+            errors.append(f"cannot build form: {key} is too large to allocate")
         if form is not None and cfg.projection is not None:
             try:
                 proj = Projection(cfg.projection)

@@ -64,7 +64,7 @@ import numpy as np
 # benchmark (perfbench/worker.py, `Heat.run`) patches it by name.  It patches
 # `sub_laplacian_batch` too, so the heat report's kernel calls it by this
 # module's name, once per block.
-from .calculus import CylinderFunction, _projected, sub_laplacian_batch, value_batch
+from .calculus import CylinderFunction, _projected, _sum, sub_laplacian_batch, value_batch
 from .group import wrap_angle
 from .model import SymplecticForm
 
@@ -391,7 +391,8 @@ def _ddt_along_dilation(f: CylinderFunction, w: np.ndarray, c: np.ndarray, t: fl
     c = t c_hat: (<w_P, dF/dw> + 2 c dF/dc) / (2 t)."""
     wp = _projected(f, w)
     gw, gv = f.first_derivs(wp, c)
-    return (np.einsum("ij,ij->i", wp, gw) + 2.0 * c * gv) / (2.0 * t)
+    return _sum(None if gw is None else np.einsum("ij,ij->i", wp, gw),
+                None if gv is None else 2.0 * c * gv) / (2.0 * t)
 
 
 @dataclass(frozen=True)
@@ -455,7 +456,8 @@ def heat_equation_report(
     z = skew = 0.0
     if se > 0.0:
         z = est.mean / se
-        skew = float(np.mean(((diff - est.mean) / (se * math.sqrt(m))) ** 3)) / math.sqrt(m)
+        d = (diff - est.mean) / (se * math.sqrt(m))
+        skew = float(np.mean(d * d * d)) / math.sqrt(m)
     elif est.mean != 0.0:
         z = math.copysign(math.inf, est.mean)
     return HeatCheckReport(

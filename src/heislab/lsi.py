@@ -14,6 +14,7 @@ entropy and energy are computed from the same draws.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -288,11 +289,11 @@ def quotient_invariance_report(
     lifted = compose_with_quotient(f)
 
     def kernel(w, c):
-        # the pairing reads w only; each gradient takes its own partials
+        # the pairing reads w only: computed once for both, if either reads it
         theta = _vertical(c, SPACE_REDUCED)
-        wp, pairing = _projected(f, w), _pairing(form, f, w)
+        wp, pairing = _projected(f, w), functools.cache(lambda: _pairing(form, f, w))
         return (f.value(wp, theta), lifted.value(wp, c),
-                _grad_norm_sq(f, wp, theta, *pairing), _grad_norm_sq(lifted, wp, c, *pairing))
+                _grad_norm_sq(f, wp, theta, pairing), _grad_norm_sq(lifted, wp, c, pairing))
 
     vals_r, vals_l, gsq_r, gsq_l = _per_sample(batch, cfg.t, m, kernel)
     for vals in (vals_r, vals_l, gsq_r, gsq_l):

@@ -1,5 +1,7 @@
 """Hand-built observables and basis-rotation utilities shared by the tests."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from heislab import CylinderFunction, full_projection
@@ -61,6 +63,23 @@ def zero_function(dim):
     )
 
 
+def densified(f):
+    """A twin of f whose callables return arrays of zeros where f's return
+    None, a partial that vanishes identically.  Slot `vector` of a tuple
+    has the shape of wp, the others that of F."""
+
+    def dense(call, vector):
+        def partials(wp, v):
+            return tuple(
+                (np.zeros(wp.shape) if i == vector else _zeros_scalar(wp, v)) if p is None else p
+                for i, p in enumerate(call(wp, v))
+            )
+
+        return partials
+
+    return replace(f, name=f.name + "_dense", first=dense(f.first, 0), second=dense(f.second, 1))
+
+
 def random_orthogonal(rng, dim):
     """Haar-ish orthogonal matrix with a deterministic sign convention."""
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -85,14 +104,18 @@ def rotated_function(f, rotation):
     def to_old(wp):
         return wp @ R.T
 
+    def to_new(partial):
+        # a partial that vanishes identically is None in every basis
+        return None if partial is None else np.asarray(partial, float) @ R
+
     def first(wp, v):
         gw, gv = f.first(to_old(wp), v)
-        return np.asarray(gw, float) @ R, gv
+        return to_new(gw), gv
 
     def second(wp, v):
         # the flat Laplacian commutes with orthogonal changes of variables
         lap, hwc, hcc = f.second(to_old(wp), v)
-        return lap, np.asarray(hwc, float) @ R, hcc
+        return lap, to_new(hwc), hcc
 
     return CylinderFunction(
         name=f.name + "_rotated",

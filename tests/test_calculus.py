@@ -14,11 +14,15 @@ from heislab import (
     Projection,
     ReducedElement,
     REGISTRY_DEFAULT_SELECTION,
+    SPACE_FULL,
+    SPACE_REDUCED,
     SymplecticForm,
     compose_with_quotient,
     grad_norm_sq,
+    heat_equation_report,
     horizontal_gradient,
     left_invariant_derivative,
+    lsi_ratio,
     make_isotropic_form,
     make_nonisotropic_form,
     make_registry_function,
@@ -27,11 +31,13 @@ from heislab import (
     quotient,
     quotient_invariance_report,
     registry_names,
+    sample_unit_endpoints,
     sub_laplacian,
 )
+from heislab import diffusion, lsi
 from heislab.calculus import grad_norm_sq_batch, sub_laplacian_batch, value_batch
 
-from helpers import exact_skew, random_orthogonal, rotated_function
+from helpers import densified, exact_skew, random_orthogonal, rotated_function
 
 
 def _point(rng, dim, c_scale=3.0):
@@ -194,7 +200,8 @@ class TestDerivativeConsistency:
 
     @pytest.mark.parametrize("case", list(ORACLE_FUNCTIONS))
     def test_second_partials_by_differences(self, case):
-        f = ORACLE_FUNCTIONS[case](4)
+        # a vanishing partial is read as its zeros, which the differences check too
+        f = densified(ORACLE_FUNCTIONS[case](4))
         rng = np.random.default_rng(36)
         h = 1e-5
         for _ in range(10):
@@ -259,7 +266,7 @@ class TestBatchedEvaluation:
         # u_P is all of u = w Omega, so the complement term is exactly zero
         form, w, v = self._cloud(n)
         f = make_registry_function(selector, 2 * n)
-        gw, gv = f.first_derivs(w, v)
+        gw, gv = densified(f).first_derivs(w, v)
         inner = gw + 0.5 * gv[:, None] * (w @ form.omega)
         want = np.einsum("ij,ij->i", inner, inner)
         assert np.array_equal(grad_norm_sq_batch(form, f, w, v), want)
@@ -334,6 +341,89 @@ class TestCombinators:
         f2 = make_registry_function("cos_theta", 4)
         with pytest.raises(ValueError):
             multiply_functions(f1, f2)
+
+
+class TestVanishingPartials:
+    """The registry returns None for a partial that vanishes identically, and
+    the reports' kernels skip its terms: they keep every bit of a twin that
+    returns arrays of zeros, and form the pairing w Omega only for a vertical
+    partial."""
+
+    @pytest.fixture(scope="class", params=[1, 4, 8], ids=lambda n: f"n{n}")
+    def cloud(self, request):
+        n = request.param
+        form = make_nonisotropic_form(tuple(range(1, n + 1)))
+        return form, sample_unit_endpoints([form], None, 29, 300)[0]
+
+    @staticmethod
+    def _run_reports(form, b, f):
+        """The heat report on G, the LSI report on G and, for a periodic f,
+        on G~, and the quotient report of G~ against G."""
+        cfg = PathConfig(t=1.3, base_seed=29)
+        heat_equation_report(form, cfg, f, b.m, batch=b)
+        for space in (SPACE_FULL, SPACE_REDUCED) if f.periodic else (SPACE_FULL,):
+            lsi_ratio(form, cfg, f, b.m, space=space, batch=b)
+        if f.periodic:
+            quotient_invariance_report(form, cfg, f, b.m, batch=b)
+
+    @pytest.mark.parametrize("selector", REGISTRY_DEFAULT_SELECTION)
+    def test_dense_zeros_give_the_same_bits(self, monkeypatch, cloud, selector):
+        form, b = cloud
+        f = make_registry_function(selector, form.dim)
+        real, outputs = diffusion._per_sample, []
+
+        def spy(*args):
+            outs = real(*args)
+            outputs.append([x.tobytes() for x in outs])
+            return outs
+
+        monkeypatch.setattr(diffusion, "_per_sample", spy)
+        monkeypatch.setattr(lsi, "_per_sample", spy)
+        self._run_reports(form, b, f)
+        got, outputs[:] = outputs[:], []
+        self._run_reports(form, b, densified(f))
+        # heat: 3 vectors; each LSI space: 2; quotient: 4
+        assert len(got) == (4 if f.periodic else 2)
+        assert sum(map(len, got)) == (11 if f.periodic else 5)
+        assert got == outputs
+
+    @staticmethod
+    def _count_pairings(monkeypatch):
+        """A list that gets the row count of every `pair_with_basis` call."""
+        rows, real = [], SymplecticForm.pair_with_basis
+
+        def counted(self, w):
+            rows.append(np.shape(w)[0])
+            return real(self, w)
+
+        monkeypatch.setattr(SymplecticForm, "pair_with_basis", counted)
+        return rows
+
+    @pytest.mark.parametrize("selector", ["poly_radial", "exp_linear(0.5)"])
+    def test_no_pairing_without_a_vertical_partial(self, monkeypatch, cloud, selector):
+        form, b = cloud
+        f = make_registry_function(selector, form.dim)
+        assert f.first_derivs(np.zeros((2, f.projection.size)), np.zeros(2))[1] is None
+        rows = self._count_pairings(monkeypatch)
+        self._run_reports(form, b, f)
+        assert rows == []
+
+    def test_each_row_is_paired_once_per_report(self, monkeypatch, cloud):
+        # cos_theta: the generator reads d2F/dc2 and the gradient dF/dc, and
+        # the quotient report shares one pairing between f and its lift
+        form, b = cloud
+        f = make_registry_function("cos_theta", form.dim)
+        cfg = PathConfig(t=1.3, base_seed=29)
+        rows = self._count_pairings(monkeypatch)
+        for report in (
+            lambda: heat_equation_report(form, cfg, f, b.m, batch=b),
+            lambda: lsi_ratio(form, cfg, f, b.m, space=SPACE_FULL, batch=b),
+            lambda: lsi_ratio(form, cfg, f, b.m, space=SPACE_REDUCED, batch=b),
+            lambda: quotient_invariance_report(form, cfg, f, b.m, batch=b),
+        ):
+            rows.clear()
+            report()
+            assert sum(rows) == b.m
 
 
 class TestQuotientComposition:

@@ -62,7 +62,7 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 10
+        assert report["schema_version"] == 11
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
         assert len(report["config"]) == ECHO
@@ -85,7 +85,7 @@ class TestSimulate:
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 10
+        assert manifest["schema_version"] == 11
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
         assert manifest["seed"] == 42
         assert "wall_time_s" in manifest and "generated_unix" in manifest
@@ -227,6 +227,15 @@ class TestExitCodes:
                                    "--out", str(out)])
         assert res.exit_code == 2
         assert res.stderr.startswith("error: simulate: Unable to allocate ")
+        assert not out.exists()
+
+    def test_form_too_large_to_allocate_exits_two(self, runner, tmp_path):
+        # building Omega at n = 10^17 fails at its first list, allocating nothing
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["simulate", "--set", "n = 100000000000000000",
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "config error" in res.stderr and "n is too large to allocate" in res.stderr
         assert not out.exists()
 
     def test_non_finite_selector_parameter_exits_two(self, runner, tmp_path):

@@ -129,6 +129,8 @@ class TestErrorCollection:
             ("c_ref = 0", "c_ref"),
             ("dims = 0,1", "dims"),
             ("n = 0", "n must be >= 1"),
+            # Omega is (2n)^2 floats: at n = 10^17 the first list fails at once
+            ("n = 100000000000000000", "n is too large to allocate"),
             ("form = trace_class", "unknown key 'form'"),  # the weights name the form
             ("weights = 1,-2", "weights must be positive"),
             ("scan_forms = isotropic,diagonal", "unknown form family"),

@@ -29,7 +29,7 @@ from heislab import (
     SymplecticForm,
     wrap_angle,
 )
-from heislab import diffusion, lsi
+from heislab import cli, diffusion, lsi
 from heislab.calculus import grad_norm_sq_batch, sub_laplacian_batch, value_batch
 from heislab.config import build_form, parse_config
 from heislab.diffusion import McEstimate
@@ -528,6 +528,36 @@ class TestHeatEquation:
         assert rep.passed and rep.z < -3.0
         assert not self._passed(2.9, rep.skew)
 
+    @pytest.mark.parametrize("extra", ["", "n = 4", "n = 8", "weights = 1, 0.5"])
+    def test_skew_is_the_third_moment(self, extra):
+        # the pinned heat-check configs (tools/pinned_bytes.py): each row's
+        # skew against a third moment summed exactly over Python floats
+        cfg = parse_config("m = 2000\nt = 0.5, 1\n" + extra)
+        form, m = build_form(cfg), cfg.m
+        b = sample_unit_endpoints([form], None, cfg.seed, m)[0]
+        for t in cfg.t:
+            w, c = b.w_at(t), b.c_at(t)
+            for sel in cli.HEAT_DEFAULT_FS:
+                f = make_registry_function(sel, form.dim)
+                rep = heat_equation_report(form, PathConfig(t=t, base_seed=cfg.seed), f, m, batch=b)
+                ddt = diffusion._ddt_along_dilation(f, w, c, t)
+                xs = [float(x) for x in ddt - 0.5 * sub_laplacian_batch(form, f, w, c)]
+                mean = math.fsum(xs) / m
+                dev = [x - mean for x in xs]
+                s = math.sqrt(math.fsum(d * d for d in dev) / (m - 1))
+                want = math.fsum(d ** 3 for d in dev) / m / s ** 3 / math.sqrt(m)
+                # a sum of m terms rounds by at most m eps times the sum of
+                # their sizes: the third moment's, and the mean's, which
+                # shifts every deviation and enters three times
+                abs3 = math.fsum(abs(d) ** 3 for d in dev) / m / s ** 3
+                abs1 = math.fsum(abs(x) for x in xs) / m / s
+                tol = m * np.finfo(float).eps * (4.0 * abs3 + 3.0 * abs1) / math.sqrt(m)
+                assert abs(rep.skew - want) <= tol, (sel, t, rep.skew, want, tol)
+                # the verdict does not depend on the skew's last bits
+                exact = HeatCheckReport(rep.residual, rep.std_error, rep.ddt,
+                                        rep.half_generator, rep.z, want)
+                assert exact.passed is rep.passed, (sel, t)
+
     def test_batch_from_another_form_is_rejected(self, iso1, batch_iso1):
         cfg = PathConfig(t=1.0, steps=400, base_seed=42)
         other = make_nonisotropic_form((3.0,))
@@ -595,7 +625,8 @@ def whole_heat(form, f, b, t, m):
     lap = sub_laplacian_batch(form, f, w, c)
     diff = ddt - 0.5 * lap
     est = _mc_from(diff)
-    skew = float(np.mean(((diff - est.mean) / (est.std_error * math.sqrt(m))) ** 3)) / math.sqrt(m)
+    d = (diff - est.mean) / (est.std_error * math.sqrt(m))
+    skew = float(np.mean(d * d * d)) / math.sqrt(m)
     return HeatCheckReport(abs(est.mean), est.std_error, _mc_from(ddt),
                            _mc_from(0.5 * lap), est.mean / est.std_error, skew)
 
