@@ -40,6 +40,8 @@ from .config import (
 from .diffusion import (
     SPACE_REDUCED,
     PathConfig,
+    _verdict,
+    _z,
     endpoint_moments,
     heat_equation_report,
     levy_area_char_function,
@@ -111,12 +113,8 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
     rows = []
     for t in cfg.t:
         mom = endpoint_moments(batch, t)
-        for metric, est, expected in (
-            ("hnorm_sq", mom["hnorm_sq"], mom["hnorm_sq_expected"]),
-            ("c_sq", mom["c_sq"], mom["c_sq_expected"]),
-        ):
-            gap = est.mean - expected
-            z = gap / est.std_error if est.std_error > 0 else 0.0
+        for metric in ("hnorm_sq", "c_sq"):
+            est, expected = mom[metric], mom[f"{metric}_expected"]
             rows.append(
                 {
                     "t": float(t),
@@ -124,8 +122,8 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
                     "mean": est.mean,
                     "std_error": est.std_error,
                     "expected": float(expected),
-                    "z": float(z),
-                    "pass": abs(gap) <= 3.0 * est.std_error,
+                    "z": _z(est.mean - expected, est.std_error),
+                    "pass": _verdict(est.mean, est.std_error, expected),
                 }
             )
     payload = _Payload(results={"moments": rows}, rows=rows)
@@ -184,17 +182,8 @@ def _worst_cells(cells, t: float, key: str) -> dict:
 
 
 def _run_lsi_scan(cfg: ExperimentConfig, workers: int) -> _Payload:
-    cells = lsi_scan(
-        cfg.scan_forms,
-        cfg.dims,
-        cfg.t,
-        cfg.f_or_default(),
-        cfg.m,
-        base_seed=cfg.seed,
-        c_ref=cfg.c_ref,
-        space=cfg.space,
-        workers=workers,
-    )
+    cells = lsi_scan(cfg.scan_forms, cfg.dims, cfg.t, cfg.f_or_default(), cfg.m,
+                     base_seed=cfg.seed, c_ref=cfg.c_ref, space=cfg.space, workers=workers)
     rows = [rep.row() for rep in cells]
     json_rows = [asdict(rep) for rep in cells]
     summaries = {}
@@ -301,12 +290,11 @@ def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
         first = len(rows)
         for pt in points:
             ref = _levy_reference(form, pt.lam, float(t))
-            band = 3.0 * pt.cos_se + pt.allowance
             # the mean of cos(lam c) and the reference both lie in [-1, 1]: a band
             # of 2 or more passes any sample, so the cosine has no verdict
-            ok = abs(pt.sin_mean) <= 3.0 * pt.sin_se + 1e-12 and (
-                None if band >= 2.0 else abs(pt.cos_mean - ref) <= band
-            )
+            cos_ok = _verdict(pt.cos_mean, pt.cos_se, ref, pt.allowance, span=2.0)
+            # the sine vanishes in law; its allowance is a rounding floor
+            ok = _verdict(pt.sin_mean, pt.sin_se, 0.0, 1e-12) and cos_ok
             rows.append(
                 {
                     "t": float(t),

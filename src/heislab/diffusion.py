@@ -195,7 +195,7 @@ def _per_sample(batch: EndpointBatch, t: float, m: int, kernel) -> list:
     while lo < m:
         # a tail of one row joins the block before it
         hi = m if m - lo < rows + 2 else lo + rows
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by `_mc_from_values`
+        with np.errstate(over="ignore", invalid="ignore"):
             vals = kernel(root * batch.w_hat[lo:hi], t * batch.c_hat[lo:hi])
         if outs is None:
             outs = [np.empty(m) for _ in vals]
@@ -349,25 +349,84 @@ def sample_unit_endpoints(
     return out
 
 
-def _require_finite(values: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(values)
-    if np.any(bad):
+def _require_finite(values: np.ndarray, what: str,
+                    why: str = "the values overflowed or turned NaN") -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
         raise RuntimeError(
-            f"{what} produced {int(bad.sum())} non-finite values out of {values.size}; "
-            "the values overflowed or turned NaN at these parameters"
+            f"{what} produced {finite.size - np.count_nonzero(finite)} non-finite values out of "
+            f"{finite.size}; {why} at these parameters"
         )
 
 
-def _mc_from_values(values: np.ndarray, what: str) -> McEstimate:
-    """Mean and standard error of finite per-sample values.  Both must be
-    finite too: the squares in the standard error overflow first."""
-    _require_finite(values, what)
-    m = values.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(values))
-        se = float(np.std(values, ddof=1) / math.sqrt(m))
-    _require_finite(np.array([mean, se]), f"the mean and standard error of {what}")
-    return McEstimate(mean=mean, std_error=se, m=m)
+class _Estimator:
+    """Means of per-sample columns over one batch and their errors: np.std's
+    for one column, else the covariance's, which gives delta-method errors
+    too; `mc` and `skew` read the first column.  A non-finite value raises
+    RuntimeError naming `what`: a lone column's samples are checked, joined
+    columns through their moments, and a gradient with its error."""
+
+    def __init__(self, what: str, *columns: np.ndarray):
+        m = columns[0].shape[0]
+        self.what, self.columns, self.m = what, columns, m
+        with np.errstate(over="ignore", invalid="ignore"):  # the squares overflow first
+            self.means = [float(np.mean(col)) for col in columns]
+            if len(columns) == 1:
+                _require_finite(columns[0], what)
+                self.std_errors = [float(np.std(columns[0], ddof=1) / math.sqrt(m))]
+                checked, name = self.means + self.std_errors, "mean and standard error"
+            else:
+                self.cov = np.cov(np.stack(columns), ddof=1)
+                self.std_errors = [math.sqrt(max(float(v), 0.0) / m) for v in np.diag(self.cov)]
+                checked, name = np.append(self.cov, self.means), "moments"
+        _require_finite(np.asarray(checked), f"the {name} of {what}")
+
+    def mc(self) -> McEstimate:
+        return McEstimate(self.means[0], self.std_errors[0], self.m)
+
+    def delta_se(self, grad: np.ndarray, name: str) -> float:
+        """The error of `name`, a function of the means with gradient `grad`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            se = math.sqrt(max(float(grad @ self.cov @ grad), 0.0) / self.m)
+        _require_finite(np.append(grad, se), f"the gradient and error of {name} of {self.what}",
+                        "a term overflowed or divided by a value that underflowed to 0")
+        return se
+
+    def skew(self) -> float:
+        """The skewness of the mean, the per-sample one over sqrt(m)."""
+        se, root = self.std_errors[0], math.sqrt(self.m)
+        if se == 0.0:
+            return 0.0
+        d = (self.columns[0] - self.means[0]) / (se * root)
+        return float(np.mean(d * d * d)) / root
+
+
+def _z(gap: float, se: float) -> float:
+    """gap / se; at se = 0, 0 for no gap and an infinity of its sign else."""
+    return gap / se if se > 0.0 else math.copysign(math.inf, gap) if gap != 0.0 else 0.0
+
+
+def _verdict(estimate: float, se: float, reference: float, allowance: float = 0.0,
+             skew: float = 0.0, upper: bool = False, span: float = math.inf) -> Optional[bool]:
+    """Whether |estimate - reference|, or with `upper` estimate - reference,
+    is within the band 3 se + allowance; None once the band reaches `span`,
+    the width of a range holding every estimate and reference.  NaN fails.
+
+    A nonzero `skew` of the estimate takes Hall's correction (JRSS B 1992):
+    rare large samples that carry a mean skew its z = gap / se, as a sample
+    holding fewer has both a lower mean and a smaller se.  The band then
+    holds se times z + a z^2 + a^2 z^3 / 3 + skew / 6, a = skew / 3, which
+    increases with z; as z (1 + u (1 + u / 3)), u = a z, it never turns NaN.
+    """
+    band = 3.0 * se + allowance
+    if band >= span:
+        return None
+    if not skew:
+        return estimate <= reference + band if upper else abs(estimate - reference) <= band
+    gap = estimate - reference
+    u = skew * _z(gap, se) / 3.0
+    gap = gap * (1.0 + u * (1.0 + u / 3.0)) + skew / 6.0 * se
+    return gap <= band if upper else abs(gap) <= band
 
 
 def _ensure_batch(
@@ -400,12 +459,8 @@ class HeatCheckReport:
     """Heat-equation check with common random numbers.
 
     `z` is the mean per-sample difference over its standard error, `skew`
-    the skewness of that mean (the per-sample skewness over sqrt(m)).  When
-    rare large differences carry the mean, z is skewed against them: a
-    sample that holds fewer of them has both a lower mean and a smaller
-    standard error.  So the check takes Hall's skewness-corrected statistic
-    z + a z^2 + a^2 z^3 / 3 + skew / 6, a = skew / 3 (Hall 1992), within 3.
-    It is increasing in z, and is z itself at skew 0.
+    the skewness of that mean; the verdict takes Hall's correction of z by
+    the skew (`_verdict`).
     """
 
     residual: float
@@ -417,9 +472,7 @@ class HeatCheckReport:
 
     @property
     def passed(self) -> bool:
-        z, a = self.z, self.skew / 3.0
-        # NaN, a failure, only where the terms overflow, far outside the band
-        return abs(z + a * z * z + a * a * z * z * z / 3.0 + self.skew / 6.0) <= 3.0
+        return _verdict(self.z, 1.0, 0.0, skew=self.skew)
 
 
 def heat_equation_report(
@@ -449,25 +502,12 @@ def heat_equation_report(
         return ddt, half_lap, ddt - half_lap
 
     ddt_vals, half_vals, diff = _per_sample(b, t, m, kernel)
-    ddt = _mc_from_values(ddt_vals, f"d/dt {f.name} at t = {t:g}")
-    half_generator = _mc_from_values(half_vals, f"L_H {f.name} at t = {t:g}")
-    est = _mc_from_values(diff, f"d/dt {f.name} - L_H {f.name} / 2 at t = {t:g}")
-    se = est.std_error
-    z = skew = 0.0
-    if se > 0.0:
-        z = est.mean / se
-        d = (diff - est.mean) / (se * math.sqrt(m))
-        skew = float(np.mean(d * d * d)) / math.sqrt(m)
-    elif est.mean != 0.0:
-        z = math.copysign(math.inf, est.mean)
-    return HeatCheckReport(
-        residual=abs(est.mean),
-        std_error=se,
-        ddt=ddt,
-        half_generator=half_generator,
-        z=z,
-        skew=skew,
-    )
+    ddt = _Estimator(f"d/dt {f.name} at t = {t:g}", ddt_vals).mc()
+    half_generator = _Estimator(f"L_H {f.name} at t = {t:g}", half_vals).mc()
+    gap = _Estimator(f"d/dt {f.name} - L_H {f.name} / 2 at t = {t:g}", diff)
+    est = gap.mc()
+    return HeatCheckReport(abs(est.mean), est.std_error, ddt, half_generator,
+                           _z(est.mean, est.std_error), gap.skew())
 
 
 @dataclass(frozen=True)
@@ -493,25 +533,18 @@ def levy_area_char_function(
     channel is a symmetry diagnostic and should vanish within noise."""
     b = _ensure_batch(form, cfg, m, workers, batch)
     out = []
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by `_mc_from_values`
+    with np.errstate(over="ignore", invalid="ignore"):
         c = b.c_at(cfg.t)[:m]
         for lam in lambdas:
             lam = float(lam)
             if lam == 0.0:
                 out.append(CharFunctionPoint(0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
                 continue
-            cos_est = _mc_from_values(np.cos(lam * c), f"cos({lam:g} c) at t = {cfg.t:g}")
-            sin_est = _mc_from_values(np.sin(lam * c), f"sin({lam:g} c) at t = {cfg.t:g}")
-            out.append(
-                CharFunctionPoint(
-                    lam,
-                    cos_est.mean,
-                    cos_est.std_error,
-                    sin_est.mean,
-                    sin_est.std_error,
-                    _cf_allowance(form, lam, cfg.t),
-                )
-            )
+            cos_est, sin_est = (
+                _Estimator(f"{name}({lam:g} c) at t = {cfg.t:g}", fn(lam * c)).mc()
+                for name, fn in (("cos", np.cos), ("sin", np.sin)))
+            out.append(CharFunctionPoint(lam, cos_est.mean, cos_est.std_error, sin_est.mean,
+                                         sin_est.std_error, _cf_allowance(form, lam, cfg.t)))
     return out
 
 
@@ -522,8 +555,8 @@ def endpoint_moments(batch: EndpointBatch, t: float, m: Optional[int] = None) ->
     mm = batch.m if m is None else min(m, batch.m)
     hnorm_sq, c_sq = _per_sample(batch, t, mm, lambda w, c: (np.einsum("ij,ij->i", w, w), c * c))
     return {
-        "hnorm_sq": _mc_from_values(hnorm_sq, f"|w|^2 at t = {t:g}"),
-        "c_sq": _mc_from_values(c_sq, f"c^2 at t = {t:g}"),
+        "hnorm_sq": _Estimator(f"|w|^2 at t = {t:g}", hnorm_sq).mc(),
+        "c_sq": _Estimator(f"c^2 at t = {t:g}", c_sq).mc(),
         "hnorm_sq_expected": batch.form.dim * t,
         "c_sq_expected": (t * t / 8.0) * batch.form.frobenius_sq(),
     }

@@ -34,9 +34,11 @@ from .diffusion import (
     SPACE_REDUCED,
     EndpointBatch,
     PathConfig,
+    _Estimator,
     _ensure_batch,
     _per_sample,
     _require_finite,
+    _verdict,
     _vertical,
     sample_unit_endpoints,
 )
@@ -115,6 +117,11 @@ def _cell(form_name: str, f: CylinderFunction, n: int, t: float, c_ref: float) -
     return dict(form_name=form_name, f_name=f.name, n=n, t=t, bound=c_ref * t)
 
 
+def _unquoted(base: dict, status: str, message: str) -> LsiReport:
+    """A cell that quotes no ratio, and so has no verdict."""
+    return LsiReport(ratio=None, ratio_se=None, passed=None, status=status, message=message, **base)
+
+
 def lsi_ratio(
     form: SymplecticForm,
     cfg: PathConfig,
@@ -128,12 +135,12 @@ def lsi_ratio(
 ) -> LsiReport:
     """Both sides of the inequality, their ratio, and the pass verdict.
 
-    The estimator core: the means of f^2 log f^2, f^2 and |grad_H f|^2 over
-    one batch, their joint sample covariance, and the delta-method errors
-    from it.  The verdict compares ratio against c_ref * t with a
-    3-standard-error allowance.  When the energy mean does not exceed 5 of
-    its standard errors the ratio is statistically meaningless and is
-    reported as undefined rather than as a huge noisy number.
+    The means of f^2 log f^2, f^2 and |grad_H f|^2 over one batch give both
+    sides, and their joint covariance the delta-method errors.  The verdict
+    is one-sided: ratio <= c_ref * t + 3 ratio_se.  When the energy mean
+    does not exceed 5 of its standard errors the ratio is statistically
+    meaningless and is reported as undefined rather than as a huge noisy
+    number.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -146,39 +153,27 @@ def lsi_ratio(
         return value_batch(f, w, v), grad_norm_sq_batch(form, f, w, v)
 
     vals, gsq = _per_sample(batch, cfg.t, m, kernel)
-    _require_finite(vals, f"{f.name} at t = {cfg.t:g}")
-    _require_finite(gsq, f"grad_H {f.name} at t = {cfg.t:g}")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+    what = f"{f.name} at t = {cfg.t:g}"
+    _require_finite(vals, what)
+    _require_finite(gsq, f"grad_H {what}")
+    with np.errstate(over="ignore", invalid="ignore"):  # the estimator reports the moments
         fsq = vals * vals
         ylog = _xlogx(fsq)
-        a, b, c = float(np.mean(ylog)), float(np.mean(fsq)), float(np.mean(gsq))
-        cov = np.cov(np.stack([ylog, fsq, gsq]), ddof=1)
-    _require_finite(np.append(cov, (a, b, c)), f"the moments of {f.name} at t = {cfg.t:g}")
+    est = _Estimator(what, ylog, fsq, gsq)
+    a, b, c = est.means
     h = _entropy_from_moments(a, b)
     d_b = -(1.0 + math.log(b)) if b > _TINY else 0.0
-
-    def se(grad):
-        return math.sqrt(max(float(grad @ cov @ grad), 0.0) / m)
-
-    energy_se = math.sqrt(max(float(cov[2, 2]), 0.0) / m)
-    base = dict(
-        _cell(form_name, f, form.n, cfg.t, c_ref),
-        entropy=h,
-        entropy_se=se(np.array([1.0, d_b, 0.0])),
-        energy=c,
-        energy_se=energy_se,
-    )
+    energy_se = est.std_errors[2]
+    base = dict(_cell(form_name, f, form.n, cfg.t, c_ref), entropy=h, energy=c, energy_se=energy_se,
+                entropy_se=est.delta_se(np.array([1.0, d_b, 0.0]), "the entropy"))
     if not (c > _ENERGY_SNR * energy_se and c > 0.0):
-        return LsiReport(
-            ratio=None,
-            ratio_se=None,
-            passed=None,
-            status=STATUS_UNDEFINED,
-            message="energy mean below its noise floor; ratio not quoted",
-            **base,
-        )
-    ratio, ratio_se = h / c, se(np.array([1.0 / c, d_b / c, -h / (c * c)]))
-    passed = ratio <= base["bound"] + 3.0 * ratio_se
+        return _unquoted(base, STATUS_UNDEFINED,
+                         "energy mean below its noise floor; ratio not quoted")
+    # c * c underflows to 0 at tiny energies, which the estimator reports
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        grad = np.divide([1.0, d_b, -h], [c, c, c * c])
+    ratio, ratio_se = h / c, est.delta_se(grad, "the ratio")
+    passed = _verdict(ratio, ratio_se, base["bound"], upper=True)
     return LsiReport(ratio=ratio, ratio_se=ratio_se, passed=passed, status=STATUS_OK, **base)
 
 
@@ -223,29 +218,12 @@ def lsi_scan(
                 for t in t_list:
                     cfg = PathConfig(t=float(t), base_seed=base_seed)
                     try:
-                        rep = lsi_ratio(
-                            form,
-                            cfg,
-                            f,
-                            m,
-                            space=space,
-                            c_ref=c_ref,
-                            batch=batch,
-                            form_name=name,
-                        )
+                        rep = lsi_ratio(form, cfg, f, m, space=space, c_ref=c_ref,
+                                        batch=batch, form_name=name)
                     except (RuntimeError, ValueError) as exc:
-                        rep = LsiReport(
-                            **_cell(name, f, n, cfg.t, c_ref),
-                            entropy=math.nan,
-                            entropy_se=math.nan,
-                            energy=math.nan,
-                            energy_se=math.nan,
-                            ratio=None,
-                            ratio_se=None,
-                            passed=None,
-                            status=STATUS_ERROR,
-                            message=str(exc),
-                        )
+                        base = dict(_cell(name, f, n, cfg.t, c_ref), entropy=math.nan,
+                                    entropy_se=math.nan, energy=math.nan, energy_se=math.nan)
+                        rep = _unquoted(base, STATUS_ERROR, str(exc))
                     reports.append(rep)
     return reports
 

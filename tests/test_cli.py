@@ -481,6 +481,16 @@ class TestLsiScan:
                 (float(n), per_dim[n]["ratio"]) for n in ("1", "3")]
         assert results["summaries"]["1.0"]["per_dimension_max"]["1"]["f"] == "poly_radial"
 
+    def test_underflowing_energy_is_an_error_cell(self, tmp_path):
+        # at n = 256 gauss_bump's energy mean, about 1e-170, clears its noise
+        # floor, and its square underflows to 0 in the ratio's gradient
+        cfg = parse_config("dims = 256\nf = gauss_bump\nm = 2000\nt = 1\nscan_forms = isotropic")
+        assert run("lsi-scan", cfg, out=str(tmp_path)) in (0, 1)
+        cell, = json.loads(_read(tmp_path / "report.json"))["results"]["cells"]
+        assert cell["status"] == "error" and cell["passed"] is None
+        assert cell["message"].startswith("the gradient and error of the ratio of gauss_bump(1) ")
+        assert "underflowed to 0" in cell["message"]
+
 
 class TestQuotientCheck:
     def test_bitwise_rows(self, runner, tmp_path):

@@ -32,7 +32,7 @@ from heislab import (
 from heislab import cli, diffusion, lsi
 from heislab.calculus import grad_norm_sq_batch, sub_laplacian_batch, value_batch
 from heislab.config import build_form, parse_config
-from heislab.diffusion import McEstimate
+from heislab.diffusion import McEstimate, _verdict
 
 from helpers import exact_skew, random_orthogonal
 
@@ -610,6 +610,46 @@ class TestAreaCharFunction:
         # 1/400: the 400-step walk's E c^2 deficit, 0.25/N, with room to spare
         tol = 3.0 * p.cos_se / (0.5 * lam * lam) + 1.0 / 400 + 1e-3
         assert abs(curvature - 0.25) <= tol
+
+
+_VALUES = st.floats(-1e6, 1e6)
+_SES = st.floats(0.0, 1e3)
+_SPANS = st.floats(0.0, 1e4)
+# a mean's skew is small; Hall's band holds the reference while |skew| < 18
+_SKEWS = st.floats(-2.0, 2.0)
+
+
+class TestVerdict:
+    """The one verdict rule of every report (`diffusion._verdict`)."""
+
+    @given(_VALUES, _SES, _VALUES, _SES, st.booleans())
+    def test_skew_zero_is_the_plain_band(self, x, se, ref, allowance, upper):
+        band = 3.0 * se + allowance
+        want = x <= ref + band if upper else abs(x - ref) <= band
+        assert _verdict(x, se, ref, allowance, upper=upper) is want
+
+    @given(_VALUES, _SES, _SES, _SKEWS, st.booleans(), st.floats(0.0, 1.0))
+    def test_monotone_in_the_gap(self, gap, se, allowance, skew, upper, shrink):
+        # an estimate closer to the reference never turns a pass into a fail
+        if _verdict(gap, se, 0.0, allowance, skew, upper):
+            assert _verdict(shrink * gap, se, 0.0, allowance, skew, upper)
+
+    @given(_VALUES, _SES, _VALUES, _SES, _SKEWS, st.booleans(), _SPANS)
+    def test_null_exactly_when_the_band_covers_the_span(self, x, se, ref, allowance, skew,
+                                                        upper, span):
+        got = _verdict(x, se, ref, allowance, skew, upper, span)
+        assert (got is None) == (3.0 * se + allowance >= span)
+
+    @given(_VALUES, _SES, _VALUES, _SES, _SKEWS, _SPANS)
+    def test_upper_side_never_fails_below_the_reference(self, x, se, ref, allowance, skew, span):
+        assume(x <= ref)
+        assert _verdict(x, se, ref, allowance, skew, upper=True, span=span) is not False
+
+    @given(st.integers(0, 4), _VALUES, _SES, _VALUES, _SES, _SKEWS, st.booleans())
+    def test_nan_fails(self, slot, x, se, ref, allowance, skew, upper):
+        terms = [x, se, ref, allowance, skew]
+        terms[slot] = math.nan
+        assert _verdict(*terms, upper=upper) is False
 
 
 # -- the reports' per-sample kernels, block by block of rows ----------------

@@ -26,6 +26,12 @@ BASE = "m = 2000\nt = 0.5, 1\n"
 TRACE_CLASS = BASE + "weights = 1, 0.5"
 TRACE_CLASS_DISTANCE = "weights = 1, 0.5\ntarget_w = 1.5, 0.5, -0.8, 1.2\ntarget_c = 2.5\nK = 16"
 LSI_ERRORS = "m = 600\ndims = 1, 3\nf = exp_linear(1000), cos_theta, vertical_sq, poly_radial"
+# one cell per verdict: passed, failed (c_ref = 1 sits below exp_linear(0.5)'s
+# ratio) and ratio_undefined (exp_linear(3)'s energy has a heavy tail)
+LSI_VERDICTS = (
+    BASE + "m = 1000\ndims = 1\nscan_forms = isotropic\nc_ref = 1\n"
+    "f = poly_radial, exp_linear(0.5), exp_linear(3)"
+)
 
 # name -> (subcommand, config text, --dump-endpoints)
 PINNED = {
@@ -45,6 +51,10 @@ PINNED = {
     "distance-Gtilde": ("distance", "target_c = 1.5\nK = 16\nspace = Gtilde", False),
     "distance-Gtilde-unwind": ("distance", "target_c = 5.5\nK = 16\nspace = Gtilde", False),
     "levy-cf": ("levy-cf", BASE, False),
+    # at t = 1 the truncation allowance of lambda = 100 passes 2: a null row
+    "levy-cf-null": ("levy-cf", BASE + "lambdas = 0.5, 100", False),
+    "heat-check-fail": ("heat-check", BASE + "f = poly_radial, exp_linear(3)", False),
+    "lsi-scan-verdicts": ("lsi-scan", LSI_VERDICTS, False),
     "trace-class-simulate": ("simulate", TRACE_CLASS, False),
     "trace-class-heat-check": ("heat-check", TRACE_CLASS, False),
     "trace-class-levy-cf": ("levy-cf", TRACE_CLASS, False),
