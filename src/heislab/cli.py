@@ -52,7 +52,7 @@ from .group import GroupElement, ReducedElement, wrap_angle
 from .lsi import lsi_scan, quotient_invariance_report
 from .model import SymplecticForm
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 HEAT_DEFAULT_FS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 QUOTIENT_DEFAULT_FS = ("cos_theta",)

@@ -199,17 +199,12 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
             form = build_form(cfg)
         except ValueError as exc:
             errors.append(f"cannot build form: {exc}")
-        except MemoryError:  # Omega is a dense 2n x 2n array
+        except MemoryError:  # the form holds its n weights
             key = "n" if cfg.weights is None else "weights"
             errors.append(f"cannot build form: {key} is too large to allocate")
         if form is not None and cfg.projection is not None:
             try:
-                proj = Projection(cfg.projection)
-                if max(cfg.projection) > form.dim:
-                    raise ValueError(
-                        f"projection index {max(cfg.projection)} exceeds dimension {form.dim}"
-                    )
-                if not check_hormander(form, proj):
+                if not check_hormander(form, Projection(cfg.projection)):
                     raise ValueError(
                         "projection fails the bracket-generation check; the restricted "
                         "form is identically zero"

@@ -40,8 +40,8 @@ are reduced in a fixed order.
 The walk runs in chunks of consecutive samples, one chunk per task.  A chunk
 builds one Philox generator and re-keys it for each sample, instead of
 constructing a generator per sample.  It draws a block of samples' normals
-into one (B, N, 2n) array, then takes the partial sums, the products with
-each Omega and the area reductions once per block.  Every operation acts on
+into one (B, N, 2n) array, then takes the partial sums, each form's pairing
+with them and the area reductions once per block.  Every operation acts on
 each sample alone, in the order a single sample would use, so the block size
 changes no sample's bits.
 
@@ -186,7 +186,7 @@ def _per_sample(batch: EndpointBatch, t: float, m: int, kernel) -> list:
 
     Each block's w and c are bitwise its rows of `w_at(t)` and `c_at(t)`.  A
     block has at least two rows: a lone row takes other numpy paths (a gemv
-    for `w @ Omega`, a SIMD-order sum in einsum) and may round differently.
+    for a framed `w @ Omega`, einsum's SIMD-order sum) and may round otherwise.
     """
     rows = max(2, _BLOCK_ELEMENTS // batch.form.dim)
     root = math.sqrt(t)
@@ -205,8 +205,8 @@ def _per_sample(batch: EndpointBatch, t: float, m: int, kernel) -> list:
     return outs
 
 
-def _fill_chunk(omegas, steps, base_seed, lo, hi, w_hat, c_hats):
-    dim = omegas[0].shape[0]
+def _fill_chunk(forms, steps, base_seed, lo, hi, w_hat, c_hats):
+    dim = forms[0].dim
     gen = np.random.Generator(np.random.Philox(0))
     size = min(hi - lo, max(1, _BLOCK_ELEMENTS // (steps * dim)))
     z = np.empty((size, steps, dim))
@@ -221,8 +221,8 @@ def _fill_chunk(omegas, steps, base_seed, lo, hi, w_hat, c_hats):
         for j in range(b - a):
             _stream(base_seed, a + j, gen).standard_normal(out=zb[j])
         np.cumsum(zb, axis=1, out=sb[:, 1:])
-        for k, om in enumerate(omegas):
-            p = sb[:, :-1] @ om
+        for k, fm in enumerate(forms):
+            p = fm.pair_with_basis(sb[:, :-1])
             if whole_block:
                 c_hats[k][a:b] = 0.5 * np.einsum("bkj,bkj->b", p, zb)
             else:
@@ -249,8 +249,8 @@ def _jump_variance(g: np.random.Generator, r: np.ndarray) -> np.ndarray:
 
 def _fill_exact(forms, frames, base_seed, chunks, m, c_hats):
     """Chunks `chunks` of the exact scheme: (W_j, A_j) per plane of the
-    normal frame, then w = Q W for each distinct frame Q (None: the identity)
-    and c = sum_j a_j A_j for each form."""
+    normal frame, then w = Q W through one form of each distinct frame and
+    c = sum_j a_j A_j for each form."""
     n, size = forms[0].n, _EXACT_CHUNK
     gen = np.random.Generator(np.random.Philox(0))
     for chunk in chunks:
@@ -261,8 +261,8 @@ def _fill_exact(forms, frames, base_seed, chunks, m, c_hats):
         area += _S * np.sqrt(2.0 * _jump_variance(g, r)) * g.standard_normal((size, n))
         lo, hi = chunk * size, min(chunk * size + size, m)
         W = W.reshape(size, 2 * n)
-        for q, w_hat in frames:
-            w_hat[lo:hi] = (W if q is None else W @ q.T)[: hi - lo]
+        for fm, w_hat in frames:
+            w_hat[lo:hi] = fm.from_normal(W)[: hi - lo]
         for fm, c_hat in zip(forms, c_hats):
             # summed plane by plane, an order no BLAS kernel can change
             c = fm.weights[0] * area[:, 0]
@@ -322,24 +322,20 @@ def sample_unit_endpoints(
 
     if steps is None:
         # forms with one frame share one w array
-        frames = {}
+        frames, w_hats = {}, []
         for fm in forms:
-            q = None if np.array_equal(fm.frame, np.eye(dim)) else fm.frame
-            frames.setdefault(fm.frame.tobytes(), (q, np.empty((m, dim))))
+            key = None if fm.frame is None else fm.frame.tobytes()
+            w_hats.append(frames.setdefault(key, (fm, np.empty((m, dim))))[1])
         chunks = -(-m // _EXACT_CHUNK)
         _run_tasks(
             lambda lo, hi: _fill_exact(forms, frames.values(), base_seed, range(lo, hi), m, c_hats),
             chunks, workers,
         )
-        return [
-            EndpointBatch(form=fm, w_hat=frames[fm.frame.tobytes()][1], c_hat=ch)
-            for fm, ch in zip(forms, c_hats)
-        ]
+        return [EndpointBatch(fm, w, ch) for fm, w, ch in zip(forms, w_hats, c_hats)]
 
-    omegas = [fm.omega for fm in forms]
     w_hat = np.empty((m, dim))
     _run_tasks(
-        lambda lo, hi: _fill_chunk(omegas, steps, base_seed, lo, hi, w_hat, c_hats), m, workers
+        lambda lo, hi: _fill_chunk(forms, steps, base_seed, lo, hi, w_hat, c_hats), m, workers
     )
     w_hat *= 1.0 / math.sqrt(steps)
     out = []
@@ -439,7 +435,8 @@ def _ensure_batch(
     if batch is not None:
         if batch.m < m:
             raise ValueError("supplied batch has fewer samples than requested")
-        if not np.array_equal(batch.form.omega, form.omega):
+        if not (np.array_equal(batch.form.weights, form.weights)
+                and np.array_equal(batch.form.frame, form.frame)):
             raise ValueError("supplied batch was sampled for a different form")
         return batch
     return sample_unit_endpoints([form], cfg.steps, cfg.base_seed, m, workers)[0]
@@ -550,7 +547,7 @@ def levy_area_char_function(
 
 def endpoint_moments(batch: EndpointBatch, t: float, m: Optional[int] = None) -> dict:
     """Second moments used by the simulate diagnostics, with the continuum
-    law's references E[|w|^2] = 2n t and E[c^2] = (t^2/8) ||Omega||_F^2.
+    law's references E[|w|^2] = 2n t and E[c^2] = (t^2/4) sum_j a_j^2.
     """
     mm = batch.m if m is None else min(m, batch.m)
     hnorm_sq, c_sq = _per_sample(batch, t, mm, lambda w, c: (np.einsum("ij,ij->i", w, w), c * c))

@@ -11,7 +11,7 @@ Gaveau (1977) and Beals-Gaveau-Greiner (J. Math. Pures Appl. 2000).  At a
 stationary polygon every segment has the same length and consecutive
 segments satisfy delta_{k+1} = (I - beta Omega)^{-1} (I + beta Omega)
 delta_k.  In the normal form Q^T Omega Q = (+)_j a_j [[0, 1], [-1, 0]]
-(`form.frame` Q and `form.weights` a), with block j read as a complex
+(`form.to_normal` and `form.weights` a), with block j read as a complex
 number z_j = |z_j| e^{i arg z_j}, each step turns block j by psi_j =
 2 arctan(beta a_j), and the segments that sum to z_j start at
 
@@ -101,10 +101,8 @@ class LiftedPath:
 
 def lift(form: SymplecticForm, path: HorizontalPath) -> LiftedPath:
     """Horizontal lift through the group identity (exact for polygons)."""
-    nodes = path.nodes
-    if nodes.shape[1] != form.dim:
-        raise ValueError("path dimension does not match the form")
-    incr = 0.5 * np.einsum("kd,kd->k", nodes[:-1] @ form.omega, nodes[1:])
+    nodes = path.nodes  # the pairing rejects a path of another dimension
+    incr = 0.5 * np.einsum("kd,kd->k", form.pair_with_basis(nodes[:-1]), nodes[1:])
     vertical = np.concatenate([[0.0], np.cumsum(incr)])
     return LiftedPath(nodes=nodes, vertical=vertical)
 
@@ -190,13 +188,11 @@ def cc_distance(form: SymplecticForm, target: GroupElement, K: int = 64) -> Dist
     if c == 0.0:
         nodes = np.linspace(0.0, 1.0, K + 1)[:, None] * w[None, :]
     else:
-        Q = form.frame
-        u = Q.T @ w
+        u = form.to_normal(w)
         segs = _optimal_segments(form.weights, u[0::2] + 1j * u[1::2], K, c)
         normal = np.zeros((K + 1, form.dim))
-        normal[1:, 0::2] = np.cumsum(segs.real, axis=0)
-        normal[1:, 1::2] = np.cumsum(segs.imag, axis=0)
-        nodes = normal @ Q.T
+        normal[1:] = np.cumsum(segs, axis=0).view(float)
+        nodes = form.from_normal(normal)
         nodes[-1] = w
     path = HorizontalPath(nodes)
     residual = float(lift(form, path).vertical[-1]) - c

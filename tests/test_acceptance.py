@@ -188,7 +188,7 @@ def test_02_calculus_identities():
     functions = [make_registry_function(s, 4) for s in ("poly_radial", "gauss_bump(0.8)")]
     for _ in range(FRAME_ROTATIONS):
         R = random_orthogonal(rng, 4)
-        form_rot = SymplecticForm(exact_skew(R.T @ form.omega @ R))
+        form_rot = SymplecticForm.from_matrix(exact_skew(R.T @ form.omega @ R))
         for f in functions:
             f_rot = rotated_function(f, R)
             for _ in range(4):

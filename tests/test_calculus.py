@@ -288,7 +288,7 @@ class TestBasisInvariance:
         rng = np.random.default_rng(41)
         for _ in range(5):
             R = random_orthogonal(rng, 4)
-            form_rot = SymplecticForm(exact_skew(R.T @ iso2.omega @ R))
+            form_rot = SymplecticForm.from_matrix(exact_skew(R.T @ iso2.omega @ R))
             f_rot = rotated_function(f, R)
             for _ in range(10):
                 g = _point(rng, 4)

@@ -62,7 +62,7 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 11
+        assert report["schema_version"] == 12
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
         assert len(report["config"]) == ECHO
@@ -85,7 +85,7 @@ class TestSimulate:
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 11
+        assert manifest["schema_version"] == 12
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
         assert manifest["seed"] == 42
         assert "wall_time_s" in manifest and "generated_unix" in manifest

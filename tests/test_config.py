@@ -1,6 +1,7 @@
 """Key=value experiment configuration: parsing, validation, canonical echo."""
 
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -129,7 +130,7 @@ class TestErrorCollection:
             ("c_ref = 0", "c_ref"),
             ("dims = 0,1", "dims"),
             ("n = 0", "n must be >= 1"),
-            # Omega is (2n)^2 floats: at n = 10^17 the first list fails at once
+            # the form holds n weights: at n = 10^17 their array fails at once
             ("n = 100000000000000000", "n is too large to allocate"),
             ("form = trace_class", "unknown key 'form'"),  # the weights name the form
             ("weights = 1,-2", "weights must be positive"),
@@ -154,6 +155,19 @@ class TestProjectionValidation:
         cfg = parse_config("n = 2")
         form = build_form(cfg)
         assert build_projection(cfg, form).indices == (1, 2, 3, 4)
+
+    def test_full_projection_at_large_n_costs_linear_memory(self):
+        # all 2n indices listed: a basis row per index would take 2 * (4 * 10**5)**2 floats
+        n = 2 * 10 ** 5
+        doc = f"n = {n}\nprojection = " + ", ".join(map(str, range(1, 2 * n + 1)))
+        tracemalloc.start()
+        try:
+            cfg = parse_config(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.projection[-1] == 2 * n
+        assert peak < 256 * 2 ** 20, peak
 
     @pytest.mark.parametrize(
         "doc,needle",

@@ -69,7 +69,7 @@ def dense_form(n, seed, weights=None):
     """A skew form with no zero entries: a random rotation of a block form."""
     q = random_orthogonal(np.random.default_rng(seed), 2 * n)
     weights = np.linspace(1.0, 2.0, n) if weights is None else weights
-    return SymplecticForm(exact_skew(q @ make_nonisotropic_form(weights).omega @ q.T))
+    return SymplecticForm.from_matrix(exact_skew(q @ make_nonisotropic_form(weights).omega @ q.T))
 
 
 class TestValidation:
@@ -265,7 +265,7 @@ class TestBlockedWalkProperties:
 
 def _planes(form, w):
     """|W_j|^2 per plane j of the form's normal frame, for endpoints w."""
-    u = w @ form.frame
+    u = form.to_normal(w)
     return u[:, 0::2] ** 2 + u[:, 1::2] ** 2
 
 
@@ -288,7 +288,7 @@ class TestExactScheme:
             "trace_class_rotated": lambda: dense_form(3, seed=8, weights=(1.0, 0.25, 1.0 / 9.0)),
         }[request.param]()
         rotated = request.param == "trace_class_rotated"
-        assert np.array_equal(form.frame, np.eye(6)) != rotated
+        assert (form.frame is None) != rotated
         return sample_unit_endpoints([form], steps=None, base_seed=31, m=60000)[0]
 
     @staticmethod
@@ -566,6 +566,20 @@ class TestHeatEquation:
             heat_equation_report(other, cfg, f, m=100, batch=batch_iso1)
         with pytest.raises(ValueError, match="different form"):
             levy_area_char_function(other, cfg, m=100, lambdas=(1.0,), batch=batch_iso1)
+        # the weights alone do not name a form: a rotated frame makes another
+        form = make_nonisotropic_form((1.0, 3.0))
+        q = random_orthogonal(np.random.default_rng(9), 4)
+        rotated = SymplecticForm(form.weights, frame=q)
+        b, b_rot = (sample_unit_endpoints([fm], steps=None, base_seed=42, m=100)[0]
+                    for fm in (form, rotated))
+        with pytest.raises(ValueError, match="different form"):
+            diffusion._ensure_batch(rotated, cfg, 100, 1, b)
+        with pytest.raises(ValueError, match="different form"):
+            diffusion._ensure_batch(form, cfg, 100, 1, b_rot)
+        # equal forms built separately share a batch
+        assert diffusion._ensure_batch(make_nonisotropic_form((1.0, 3.0)), cfg, 100, 1, b) is b
+        same = SymplecticForm(rotated.weights, frame=q.copy())
+        assert diffusion._ensure_batch(same, cfg, 100, 1, b_rot) is b_rot
 
     def test_non_integrable_observable_raises(self, iso1):
         # no batch given: the report samples its own, then rejects the overflow
@@ -724,7 +738,7 @@ class TestPerSampleBlocks:
     @pytest.fixture(scope="class")
     def batches(self):
         dense = dense_form(3, 61, weights=(1.0, 2.0, 3.5))
-        assert not np.array_equal(dense.frame, np.eye(dense.dim))  # the Schur path
+        assert dense.frame is not None  # the Schur path
         out = {}
         for name, form, steps in (("iso8_walk", make_isotropic_form(8), 8),
                                   ("aniso_exact", make_nonisotropic_form((1.0, 2.0, 3.5)), None),

@@ -398,7 +398,7 @@ class TestClosedFormPolygon:
             block = make_nonisotropic_form(ws)
             Q, _ = np.linalg.qr(rng.standard_normal((block.dim, block.dim)))
             turned = Q @ block.omega @ Q.T
-            rotated = SymplecticForm(0.5 * (turned - turned.T))
+            rotated = SymplecticForm.from_matrix(0.5 * (turned - turned.T))
             # omega'(x, y) = omega(Q^T x, Q^T y): target Q w there is w here
             res = cc_distance(rotated, GroupElement(Q @ w, c), K=32)
             ref = cc_distance(block, GroupElement(w, c), K=32)

@@ -169,7 +169,8 @@ def _form_and_elements(draw):
     """A random exact-skew form on R^2n and three elements of its group."""
     dim = 2 * draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    form = SymplecticForm(exact_skew(np.random.default_rng(seed).standard_normal((dim, dim))))
+    rng = np.random.default_rng(seed)
+    form = SymplecticForm.from_matrix(exact_skew(rng.standard_normal((dim, dim))))
     coords = st.lists(_COORD, min_size=dim, max_size=dim)
     return form, [GroupElement(draw(coords), draw(_COORD)) for _ in range(3)]
 

@@ -47,7 +47,7 @@ def _cases(draw):
     a projection and a registry function read through that projection."""
     dim = 2 * draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    form = SymplecticForm(exact_skew(rng.standard_normal((dim, dim))))
+    form = SymplecticForm.from_matrix(exact_skew(rng.standard_normal((dim, dim))))
     size = 2 * draw(st.integers(1, dim // 2))
     proj = Projection(tuple(sorted(int(i) + 1 for i in rng.choice(dim, size, replace=False))))
     f = replace(make_registry_function(draw(st.sampled_from(REGISTRY_DEFAULT_SELECTION)), dim),

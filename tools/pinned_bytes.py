@@ -32,6 +32,14 @@ LSI_VERDICTS = (
     BASE + "m = 1000\ndims = 1\nscan_forms = isotropic\nc_ref = 1\n"
     "f = poly_radial, exp_linear(0.5), exp_linear(3)"
 )
+# 24 weights j^-2: their Frobenius sum 2 sum_j a_j^2 shows its last bit
+WEIGHTS_24 = "weights = " + ", ".join(repr(1.0 / (j * j)) for j in range(1, 25))
+# six unequal weights with a target in every block
+DISTANCE_6 = (
+    "weights = 3, 1, 2.5, 0.5, 1.5, 0.25\n"
+    "target_w = 1.5, -0.5, 0.8, 1.2, -2, 0.3, 0.7, -1.1, 0.25, 0.9, -0.6, 1.4\n"
+    "target_c = 2.5\nK = 16"
+)
 
 # name -> (subcommand, config text, --dump-endpoints)
 PINNED = {
@@ -60,6 +68,9 @@ PINNED = {
     "trace-class-levy-cf": ("levy-cf", TRACE_CLASS, False),
     "trace-class-distance-G": ("distance", TRACE_CLASS_DISTANCE, False),
     "trace-class-distance-Gtilde": ("distance", TRACE_CLASS_DISTANCE + "\nspace = Gtilde", False),
+    "simulate-24-weights": ("simulate", BASE + WEIGHTS_24, False),
+    "lsi-scan-n24": ("lsi-scan", BASE + "m = 600\ndims = 24", False),
+    "distance-6-weights": ("distance", DISTANCE_6, False),
 }
 
 
