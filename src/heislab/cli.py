@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .calculus import make_registry_function
+from .calculus import REGISTRY_DEFAULT_SELECTION, make_registry_function
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -52,7 +52,7 @@ from .group import GroupElement, ReducedElement, wrap_angle
 from .lsi import lsi_scan, quotient_invariance_report
 from .model import SymplecticForm
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 HEAT_DEFAULT_FS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 QUOTIENT_DEFAULT_FS = ("cos_theta",)
@@ -104,12 +104,34 @@ class _Payload:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each is runner(cfg, workers, dump_endpoints)
+
+
+def _sampled(cfg: ExperimentConfig, workers: int):
+    """The config's form and one batch of its exact endpoints."""
+    form = build_form(cfg)
+    return form, sample_unit_endpoints([form], None, cfg.seed, cfg.m, workers)[0]
+
+
+def _functions(cfg: ExperimentConfig, default, reduced: bool = False) -> list:
+    """(selector, function) pairs of cfg.f, or else of the subcommand's
+    default, built at the dimension 2n of the config's form.  Only periodic
+    functions live on the reduced group G~ = G/2piZ: where they are read
+    there, an explicit aperiodic f is a config error, raised before any
+    sampling, and the default keeps its periodic members."""
+    pairs = [(sel, make_registry_function(sel, 2 * cfg.n)) for sel in cfg.f or default]
+    if reduced:
+        errors = [f"f = {sel} is not vertical-periodic; only periodic functions live on "
+                  f"{SPACE_REDUCED} = G/2piZ" for sel, f in pairs if not f.periodic]
+        if cfg.f and errors:
+            raise ConfigError(errors)
+        pairs = [(sel, f) for sel, f in pairs if f.periodic]
+    return pairs
 
 
 def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> _Payload:
-    form = build_form(cfg)
-    batch = sample_unit_endpoints([form], None, cfg.seed, cfg.m, workers)[0]
+    """Endpoint moments of the hypoelliptic diffusion vs exact references."""
+    form, batch = _sampled(cfg, workers)
     rows = []
     for t in cfg.t:
         mom = endpoint_moments(batch, t)
@@ -129,9 +151,7 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
     payload = _Payload(results={"moments": rows}, rows=rows)
     if dump_endpoints:
         t0 = cfg.t[0]
-        w = batch.w_at(t0)
-        c = batch.c_at(t0)
-        theta = batch.theta_at(t0)
+        w, c, theta = batch.w_at(t0), batch.c_at(t0), batch.theta_at(t0)
         payload.extra_files["endpoints.csv"] = [
             {
                 "sample": i,
@@ -145,14 +165,14 @@ def _run_simulate(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
     return payload
 
 
-def _run_heat_check(cfg: ExperimentConfig, workers: int) -> _Payload:
-    form = build_form(cfg)
-    batch = sample_unit_endpoints([form], None, cfg.seed, cfg.m, workers)[0]
-    fs = [make_registry_function(sel, form.dim) for sel in cfg.f_or_default(HEAT_DEFAULT_FS)]
+def _run_heat_check(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> _Payload:
+    """Heat-equation residual d/dt E[f] - 0.5 E[L f]."""
+    fs = _functions(cfg, HEAT_DEFAULT_FS)
+    form, batch = _sampled(cfg, workers)
     rows = []
     for t in cfg.t:
         pcfg = PathConfig(t=float(t), base_seed=cfg.seed)
-        for f in fs:
+        for _, f in fs:
             rep = heat_equation_report(form, pcfg, f, cfg.m, workers=workers, batch=batch)
             rows.append(
                 {
@@ -181,8 +201,12 @@ def _worst_cells(cells, t: float, key: str) -> dict:
     return out
 
 
-def _run_lsi_scan(cfg: ExperimentConfig, workers: int) -> _Payload:
-    cells = lsi_scan(cfg.scan_forms, cfg.dims, cfg.t, cfg.f_or_default(), cfg.m,
+def _run_lsi_scan(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> _Payload:
+    """Entropy/energy ratio grid over dimensions, forms, times, functions."""
+    # lsi_scan builds each function again at every scanned dimension
+    reduced = cfg.space == SPACE_REDUCED
+    sels = [sel for sel, _ in _functions(cfg, REGISTRY_DEFAULT_SELECTION, reduced)]
+    cells = lsi_scan(cfg.scan_forms, cfg.dims, cfg.t, sels, cfg.m,
                      base_seed=cfg.seed, c_ref=cfg.c_ref, space=cfg.space, workers=workers)
     rows = [rep.row() for rep in cells]
     json_rows = [asdict(rep) for rep in cells]
@@ -197,26 +221,17 @@ def _run_lsi_scan(cfg: ExperimentConfig, workers: int) -> _Payload:
         }
         pairs = [(n, by_dim[n].ratio) for n in sorted(by_dim)]
         extra[f"max_ratio_vs_n_t{idx}.dat"] = ("n max_ratio", pairs)
-    return _Payload(
-        results={"cells": json_rows, "summaries": summaries}, rows=rows, extra_files=extra
-    )
+    return _Payload({"cells": json_rows, "summaries": summaries}, rows, extra)
 
 
-def _run_quotient_check(cfg: ExperimentConfig, workers: int) -> _Payload:
-    form = build_form(cfg)
-    fs = []
-    for sel in cfg.f_or_default(QUOTIENT_DEFAULT_FS):
-        f = make_registry_function(sel, form.dim)
-        if not f.periodic:
-            raise ConfigError(
-                [f"f = {sel} is not vertical-periodic; quotient-check needs periodic functions"]
-            )
-        fs.append(f)
-    batch = sample_unit_endpoints([form], None, cfg.seed, cfg.m, workers)[0]
+def _run_quotient_check(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> _Payload:
+    """Bitwise comparison of reduced-group vs lifted full-group functionals."""
+    fs = _functions(cfg, QUOTIENT_DEFAULT_FS, reduced=True)
+    form, batch = _sampled(cfg, workers)
     rows = []
     for t in cfg.t:
         pcfg = PathConfig(t=float(t), base_seed=cfg.seed)
-        for f in fs:
+        for _, f in fs:
             rep = quotient_invariance_report(form, pcfg, f, cfg.m, workers, batch)
             rows.append(
                 {
@@ -236,13 +251,12 @@ def _run_quotient_check(cfg: ExperimentConfig, workers: int) -> _Payload:
     return _Payload(results={"quotient_check": rows}, rows=rows)
 
 
-def _run_distance(cfg: ExperimentConfig) -> _Payload:
+def _run_distance(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> _Payload:
+    """Constrained-path distance to a configured target element."""
     form = build_form(cfg)
     w = np.asarray(cfg.target_w, dtype=float)
     if w.shape != (form.dim,):
-        raise ConfigError(
-            [f"target_w has {w.size} entries but the form needs {form.dim}"]
-        )
+        raise ConfigError([f"target_w has {w.size} entries but the form needs {form.dim}"])
     if cfg.space == SPACE_REDUCED:
         res = cc_distance_reduced(form, ReducedElement(w, wrap_angle(cfg.target_c)), K=cfg.K)
     else:
@@ -279,9 +293,9 @@ def _levy_reference(form: SymplecticForm, lam: float, t: float) -> float:
         return float(np.prod(1.0 / np.cosh(form.weights * lam * t / 2.0)))
 
 
-def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
-    form = build_form(cfg)
-    batch = sample_unit_endpoints([form], None, cfg.seed, cfg.m, workers)[0]
+def _run_levy_cf(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> _Payload:
+    """Characteristic function of the vertical coordinate vs closed form."""
+    form, batch = _sampled(cfg, workers)
     rows = []
     extra = {}
     for idx, t in enumerate(cfg.t):
@@ -316,32 +330,14 @@ def _run_levy_cf(cfg: ExperimentConfig, workers: int) -> _Payload:
 # ---------------------------------------------------------------------------
 # dispatch and artifact writing
 
-# name -> (runner(cfg, workers, dump_endpoints), help text of the command)
+# name -> runner; its docstring is the command's help
 _SUBCOMMANDS = {
-    "simulate": (
-        _run_simulate,
-        "Endpoint moments of the hypoelliptic diffusion vs exact references.",
-    ),
-    "heat-check": (
-        lambda cfg, workers, _: _run_heat_check(cfg, workers),
-        "Heat-equation residual d/dt E[f] - 0.5 E[L f].",
-    ),
-    "lsi-scan": (
-        lambda cfg, workers, _: _run_lsi_scan(cfg, workers),
-        "Entropy/energy ratio grid over dimensions, forms, times, functions.",
-    ),
-    "quotient-check": (
-        lambda cfg, workers, _: _run_quotient_check(cfg, workers),
-        "Bitwise comparison of reduced-group vs lifted full-group functionals.",
-    ),
-    "distance": (
-        lambda cfg, workers, _: _run_distance(cfg),
-        "Constrained-path distance to a configured target element.",
-    ),
-    "levy-cf": (
-        lambda cfg, workers, _: _run_levy_cf(cfg, workers),
-        "Characteristic function of the vertical coordinate vs closed form.",
-    ),
+    "simulate": _run_simulate,
+    "heat-check": _run_heat_check,
+    "lsi-scan": _run_lsi_scan,
+    "quotient-check": _run_quotient_check,
+    "distance": _run_distance,
+    "levy-cf": _run_levy_cf,
 }
 
 
@@ -360,7 +356,7 @@ def run(
         )
         return 2
     try:
-        payload = _SUBCOMMANDS[subcommand][0](cfg, workers, dump_endpoints)
+        payload = _SUBCOMMANDS[subcommand](cfg, workers, dump_endpoints)
     except ConfigError as exc:
         for msg in exc.errors:
             click.echo(f"config error: {msg}", err=True)
@@ -369,7 +365,7 @@ def run(
         click.echo(f"error: {subcommand}: {exc}", err=True)
         return 2
 
-    out_dir = out or cfg.out or f"{subcommand}-out"
+    out_dir = out or f"{subcommand}-out"
     echo_lines = canonical_text(cfg).splitlines()
     overall = all(row["pass"] is not False for row in payload.rows)
     report = {
@@ -398,7 +394,6 @@ def run(
             "schema_version": SCHEMA_VERSION,
             "subcommand": subcommand,
             "config": echo_lines,
-            "seed": cfg.seed,
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -435,23 +430,16 @@ def _write(out_dir: str, name: str, text: str) -> None:
 # click wiring
 
 
-def _load_config(config_path: Optional[str], overrides) -> ExperimentConfig:
-    text = ""
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_config(text, overrides)
-
-
 def _common(fn):
-    fn = click.option("--config", "config_path", default=None,
-                      type=click.Path(exists=True, dir_okay=False),
+    fn = click.option("--config", "config_file", default=None,
+                      type=click.File("r", encoding="utf-8"),
                       help="Path to a key = value config file.")(fn)
     fn = click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
                       help="Override one config key (repeatable; later wins).")(fn)
     fn = click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
                       metavar="INTEGER",
-                      help="Worker threads; results are identical for any count.")(fn)
+                      help="Worker threads, at most one per CPU; results are identical "
+                           "for any count.")(fn)
     fn = click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False),
                       help="Output directory (default: <subcommand>-out).")(fn)
     return fn
@@ -464,9 +452,9 @@ def main():
 
 
 def _register(subcommand: str, help_text: str) -> None:
-    def command(config_path, overrides, workers, out_dir, dump_endpoints=False):
+    def command(config_file, overrides, workers, out_dir, dump_endpoints=False):
         try:
-            cfg = _load_config(config_path, overrides)
+            cfg = parse_config(config_file.read() if config_file else "", overrides)
         except ConfigError as exc:
             for msg in exc.errors:
                 click.echo(f"config error: {msg}", err=True)
@@ -479,8 +467,8 @@ def _register(subcommand: str, help_text: str) -> None:
     main.command(subcommand, help=help_text)(_common(command))
 
 
-for _name, (_, _help) in _SUBCOMMANDS.items():
-    _register(_name, _help)
+for _name, _runner in _SUBCOMMANDS.items():
+    _register(_name, _runner.__doc__)
 
 
 if __name__ == "__main__":

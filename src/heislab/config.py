@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple, Union, get_args, get_origin
 
 import numpy as np
 
-from .calculus import REGISTRY_DEFAULT_SELECTION, make_registry_function
+from .calculus import make_registry_function
 from .diffusion import SPACE_FULL, SPACE_REDUCED
 from .lsi import DEFAULT_C_REF, FORM_FAMILIES
 from .model import (
@@ -63,16 +63,12 @@ class ExperimentConfig:
     f: Tuple[str, ...] = ()  # empty means the subcommand's default selection
     c_ref: float = DEFAULT_C_REF
     space: str = SPACE_FULL
-    out: Optional[str] = None
     K: int = 64
     lambdas: Tuple[float, ...] = (0.5, 1.0, 2.0)
     dims: Tuple[int, ...] = (1, 2, 3, 4)
     scan_forms: Tuple[str, ...] = ("isotropic", "ascending_weights")
     target_w: Tuple[float, ...] = (3.0, 4.0)
     target_c: float = 0.0
-
-    def f_or_default(self, default: Tuple[str, ...] = REGISTRY_DEFAULT_SELECTION):
-        return self.f if self.f else tuple(default)
 
 
 # every config key is an ExperimentConfig field of the same name
@@ -232,8 +228,9 @@ def build_projection(cfg: ExperimentConfig, form: SymplecticForm) -> Projection:
 
 
 def format_value(value) -> str:
-    """Canonical text of one value in every artifact: None is empty, booleans
-    are `true`/`false`, floats are their repr, tuples are comma-joined.
+    """Canonical text of one value in every artifact: None and non-finite
+    floats are empty, as both are null in JSON; booleans are `true`/`false`,
+    finite floats are their repr, tuples are comma-joined.
 
     Numpy scalars are cast to Python ones first; repr(np.float64(x)) would
     give `np.float64(x)`.
@@ -245,7 +242,7 @@ def format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+        return repr(float(value)) if math.isfinite(value) else ""
     if isinstance(value, str):
         return value
     if isinstance(value, tuple):

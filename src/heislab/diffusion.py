@@ -54,6 +54,7 @@ reduction runs on the joined vectors, so no block size changes a bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -280,12 +281,15 @@ def _cf_allowance(form: SymplecticForm, lam: float, t: float) -> float:
 
 
 def _run_tasks(fill, count: int, workers: int) -> None:
-    """fill(lo, hi) over [0, count), in contiguous tasks over the workers."""
+    """fill(lo, hi) over [0, count), in contiguous tasks over the workers,
+    at most one task per unit; the pool starts no more threads than the
+    process may run on, whatever the requested count."""
     if workers == 1:
         fill(0, count)
         return
-    bounds = np.linspace(0, count, workers * 4 + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    bounds = np.linspace(0, count, min(workers * 4, count) + 1).astype(int)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=min(workers, cpus or 1)) as pool:
         futs = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         for fut in futs:
             fut.result()

@@ -261,10 +261,8 @@ def quotient_invariance_report(
     batch: Optional[EndpointBatch] = None,
 ) -> QuotientInvarianceReport:
     """Evaluate f on wrapped endpoints vs its lift on raw endpoints."""
-    if not f.periodic:
-        raise ValueError(f"{f.name}: quotient comparison needs a periodic function")
+    lifted = compose_with_quotient(f)  # raises for an aperiodic f, before any sampling
     batch = _ensure_batch(form, cfg, m, workers, batch)
-    lifted = compose_with_quotient(f)
 
     def kernel(w, c):
         # the pairing reads w only: computed once for both, if either reads it

@@ -62,7 +62,7 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 12
+        assert report["schema_version"] == 13
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
         assert len(report["config"]) == ECHO
@@ -85,9 +85,10 @@ class TestSimulate:
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 12
+        assert manifest["schema_version"] == 13
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
-        assert manifest["seed"] == 42
+        # the config echo states the seed; the manifest has no copy of it
+        assert "seed" not in manifest and "seed = 42" in manifest["config"]
         assert "wall_time_s" in manifest and "generated_unix" in manifest
         assert manifest["config"] == report["config"] and "config_defaults" not in manifest
         # timing never leaks into the deterministic artifacts
@@ -170,11 +171,11 @@ class TestExitCodes:
         # delta_t was the central-difference step of heat-check, k_window
         # the fiber window of distance and form the name of the form, which
         # the weights give; there is no scheme key, every subcommand samples
-        # the exact law
+        # the exact law; --out alone names the output directory
         out = tmp_path / "o"
         for sub, item in (("simulate", "bogus = 1"), ("heat-check", "delta_t = 0.05"),
                           ("simulate", "scheme = bogus"), ("distance", "k_window = 2"),
-                          ("simulate", "form = isotropic")):
+                          ("simulate", "form = isotropic"), ("simulate", "out = x")):
             res = runner.invoke(main, [sub, "--set", item, "--out", str(out)])
             assert res.exit_code == 2
             assert "config error" in res.stderr
@@ -352,8 +353,9 @@ class TestExitCodes:
         res = runner.invoke(main, ["simulate", *FAST, "--out", str(blocker)])
         assert res.exit_code == 2
         assert "Invalid value" in res.stderr
-        # the config key reaches the artifact writer, which must also refuse
-        res = runner.invoke(main, ["simulate", *FAST, "--set", f"out = {blocker}"])
+        # a directory below a file passes the parser and reaches the artifact
+        # writer, which must also refuse
+        res = runner.invoke(main, ["simulate", *FAST, "--out", str(blocker / "sub")])
         assert res.exit_code == 2
         assert "cannot write" in res.stderr
 
@@ -490,6 +492,37 @@ class TestLsiScan:
         assert cell["status"] == "error" and cell["passed"] is None
         assert cell["message"].startswith("the gradient and error of the ratio of gauss_bump(1) ")
         assert "underflowed to 0" in cell["message"]
+
+
+    def test_aperiodic_function_on_gtilde_exits_two(self, runner, tmp_path):
+        # only periodic functions live on G~ = G/2piZ; the rule is applied
+        # before any sampling, as quotient-check applies it
+        out = tmp_path / "scan"
+        res = runner.invoke(main, ["lsi-scan", "--set", "m = 400", "--set", "dims = 1",
+                                   "--set", "space = Gtilde", "--set", "f = vertical_sq",
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "periodic" in res.stderr
+        assert not out.exists()
+
+    def test_default_selection_on_gtilde_is_periodic(self, tmp_path):
+        cfg = parse_config("m = 400\ndims = 1\nscan_forms = isotropic\nspace = Gtilde")
+        assert run("lsi-scan", cfg, out=str(tmp_path)) in (0, 1)
+        cells = json.loads(_read(tmp_path / "report.json"))["results"]["cells"]
+        assert [cell["f_name"] for cell in cells] == ["poly_radial", "exp_linear(0.5)", "cos_theta"]
+        assert "error" not in {cell["status"] for cell in cells}
+
+    def test_error_cell_fields_are_empty_in_the_summary(self, tmp_path):
+        # exp_linear(1000) overflows: the cell has no entropy, energy or ratio,
+        # null in report.json and empty in summary.csv
+        cfg = parse_config("m = 400\ndims = 1\nscan_forms = isotropic\nf = exp_linear(1000)")
+        assert run("lsi-scan", cfg, out=str(tmp_path)) == 0
+        cell, = json.loads(_read(tmp_path / "report.json"))["results"]["cells"]
+        assert cell["status"] == "error"
+        lines = _read(tmp_path / "summary.csv").splitlines()
+        row = dict(zip(lines[ECHO].split(","), lines[ECHO + 1].split(",")))
+        for key in ("entropy", "entropy_se", "energy", "energy_se", "ratio", "ratio_se"):
+            assert cell[key] is None and row[key] == "", key
 
 
 class TestQuotientCheck:

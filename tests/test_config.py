@@ -1,5 +1,6 @@
 """Key=value experiment configuration: parsing, validation, canonical echo."""
 
+import math
 import re
 import tracemalloc
 from dataclasses import fields
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from heislab import (
     ConfigError,
     ExperimentConfig,
-    REGISTRY_DEFAULT_SELECTION,
     build_form,
     build_projection,
     canonical_text,
@@ -33,10 +33,8 @@ class TestDefaults:
         assert cfg.lambdas == (0.5, 1.0, 2.0) and cfg.dims == (1, 2, 3, 4)
         assert cfg.scan_forms == ("isotropic", "ascending_weights")
         assert cfg.target_w == (3.0, 4.0) and cfg.target_c == 0.0
-        assert cfg.weights is None and cfg.projection is None and cfg.out is None
+        assert cfg.weights is None and cfg.projection is None
         assert cfg.f == ()
-        assert cfg.f_or_default() == REGISTRY_DEFAULT_SELECTION
-        assert cfg.f_or_default(("cos_theta",)) == ("cos_theta",)
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\n  t = 2.0  # trailing\n   \n")
@@ -73,8 +71,8 @@ class TestParsing:
         assert cfg.target_w == (1.0, 0.0)
 
     def test_empty_value_means_unset(self):
-        cfg = parse_config("out =\nf =\nweights =\nprojection =")
-        assert cfg.out is None and cfg.f == ()
+        cfg = parse_config("f =\nweights =\nprojection =")
+        assert cfg.f == ()
         assert cfg.weights is None and cfg.projection is None
 
     def test_n_inferred_from_weights(self):
@@ -207,7 +205,7 @@ class TestCanonicalText:
         cfg = parse_config("")
         text = canonical_text(cfg)
         lines = text.strip().split("\n")
-        assert len(lines) == len(fields(ExperimentConfig)) == 17
+        assert len(lines) == len(fields(ExperimentConfig)) == 16
         assert lines[0].startswith("K = ")
         assert lines == sorted(lines, key=lambda ln: ln.split(" = ")[0])
         assert parse_config(text) == cfg
@@ -218,7 +216,7 @@ class TestCanonicalText:
         [
             "weights = 1.5, 2.25\nt = 0.1, 1, 10\nm = 50",
             "f = exp_linear(0.5), cos_theta\nspace = Gtilde\nseed = 7",
-            "n = 4\nprojection = 1, 2, 5, 6\nout = results",
+            "n = 4\nprojection = 1, 2, 5, 6",
             "weights = 1, 0.5\nK = 7\ntarget_c = -2.5",
         ],
     )
@@ -254,7 +252,6 @@ _VALUES = {
     "f": _text_list(_SELECTOR, min_size=0),
     "c_ref": _POSITIVE,
     "space": st.sampled_from(["G", "Gtilde"]),
-    "out": st.text("abc_-./0123456789", max_size=8),
     "K": st.integers(2, 1000).map(str),
     "lambdas": _text_list(_FLOAT),
     "dims": _text_list(st.integers(1, 64).map(str)),
@@ -305,6 +302,11 @@ class TestFormatValue:
         assert format_value(np.bool_(True)) == format_value(True) == "true"
         assert format_value(None) == "" and format_value(False) == "false"
         assert format_value(("a", 1.5, 2)) == "a,1.5,2"
+
+    def test_non_finite_floats_are_empty_like_none(self):
+        # report.json writes null for None and for a non-finite float alike
+        for value in (math.nan, math.inf, -math.inf, np.float64(np.nan), np.float32(np.inf)):
+            assert format_value(value) == format_value(None) == ""
 
 
 class TestReadmeKeys:

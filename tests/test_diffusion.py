@@ -1,7 +1,9 @@
 """Endpoint sampling, moment identities, heat-equation and area-law checks."""
 
 import math
+import os
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -164,6 +166,41 @@ class TestDeterminismAndStreams:
                 for a, b in zip(serial, threaded):
                     assert np.array_equal(a.w_hat, b.w_hat), (steps, workers)
                     assert np.array_equal(a.c_hat, b.c_hat), (steps, workers)
+
+    def test_threads_never_exceed_the_cpus(self, monkeypatch):
+        # a stand-in pool records its size and runs each task inline, so no
+        # thread starts; the process is made to see 3 CPUs
+        pools, tasks = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, fill, lo, hi):
+                tasks.append((lo, hi))
+                fut = Future()
+                fut.set_result(fill(lo, hi))
+                return fut
+
+        monkeypatch.setattr(diffusion, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        form = make_isotropic_form(2)
+        serial = sample_unit_endpoints([form], steps=None, base_seed=5, m=4096)[0]
+        # 4096 samples are 16 chunks: 2 workers split them into 8 tasks, and
+        # a million workers into one task per chunk, on 3 threads
+        for workers, per_task in ((2, 2), (10 ** 6, 1)):
+            pools.clear()
+            tasks.clear()
+            b = sample_unit_endpoints([form], steps=None, base_seed=5, m=4096, workers=workers)[0]
+            assert pools == [min(workers, 3)]
+            assert tasks == [(lo, lo + per_task) for lo in range(0, 16, per_task)]
+            assert np.array_equal(b.w_hat, serial.w_hat) and np.array_equal(b.c_hat, serial.c_hat)
 
     def test_forms_share_draws(self, iso1):
         double = make_nonisotropic_form((2.0,))

@@ -1,15 +1,18 @@
 """Print the sha256 of every artifact the pinned configs write.
 
-Usage: python3 tools/pinned_bytes.py
+Usage: python3 tools/pinned_bytes.py [--keep DIR]
 
 Each pinned config runs through `heislab.cli.run` in a temporary directory,
-one output directory per config.  The script prints one sorted
+one output directory per config; `--keep DIR` writes them under DIR instead
+and leaves them there, so two trees' artifacts can be compared with
+`diff -r`.  The script prints one sorted
 `sha256  config/file` line per artifact except `manifest.json`, which holds
 wall-clock times.  Two trees write the same bytes when their outputs are
 identical, so a change meant to keep the bytes is checked by running the
 script on both and comparing.
 """
 
+import argparse
 import contextlib
 import hashlib
 import os
@@ -55,6 +58,8 @@ PINNED = {
         False,
     ),
     "quotient-check": ("quotient-check", BASE, False),
+    # functions built at n = 4: the only quotient-check above n = 1
+    "quotient-check-n4": ("quotient-check", BASE + "n = 4\nf = poly_radial, cos_theta", False),
     "distance-G": ("distance", "target_c = 1.5\nK = 16", False),
     "distance-Gtilde": ("distance", "target_c = 1.5\nK = 16\nspace = Gtilde", False),
     "distance-Gtilde-unwind": ("distance", "target_c = 5.5\nK = 16\nspace = Gtilde", False),
@@ -75,8 +80,12 @@ PINNED = {
 
 
 def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--keep", metavar="DIR", help="write the artifacts under DIR and keep them")
+    args = ap.parse_args()
     lines = []
-    with tempfile.TemporaryDirectory() as root:
+    with contextlib.ExitStack() as stack:
+        root = args.keep or stack.enter_context(tempfile.TemporaryDirectory())
         for name, (subcommand, text, dump) in PINNED.items():
             out = os.path.join(root, name)
             with contextlib.redirect_stdout(sys.stderr):
