@@ -52,7 +52,7 @@ from .group import GroupElement, ReducedElement, wrap_angle
 from .lsi import lsi_scan, quotient_invariance_report
 from .model import SymplecticForm
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 HEAT_DEFAULT_FS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 QUOTIENT_DEFAULT_FS = ("cos_theta",)
@@ -178,7 +178,8 @@ def _run_heat_check(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -
                 {
                     "t": float(t),
                     "f": f.name,
-                    "residual": rep.ddt.mean - rep.half_generator.mean,
+                    # the signed mean per-sample difference that z and pass test
+                    "residual": math.copysign(rep.residual, rep.z),
                     "std_error": rep.std_error,
                     "skew": rep.skew,
                     "ddt_mean": rep.ddt.mean,
@@ -455,6 +456,9 @@ def _register(subcommand: str, help_text: str) -> None:
     def command(config_file, overrides, workers, out_dir, dump_endpoints=False):
         try:
             cfg = parse_config(config_file.read() if config_file else "", overrides)
+        except UnicodeDecodeError as exc:  # raised by the read, before any parsing
+            click.echo(f"config error: {config_file.name}: {exc}", err=True)
+            sys.exit(2)
         except ConfigError as exc:
             for msg in exc.errors:
                 click.echo(f"config error: {msg}", err=True)

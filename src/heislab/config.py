@@ -19,14 +19,7 @@ import numpy as np
 from .calculus import make_registry_function
 from .diffusion import SPACE_FULL, SPACE_REDUCED
 from .lsi import DEFAULT_C_REF, FORM_FAMILIES
-from .model import (
-    Projection,
-    SymplecticForm,
-    check_hormander,
-    full_projection,
-    make_isotropic_form,
-    make_nonisotropic_form,
-)
+from .model import SymplecticForm, make_isotropic_form, make_nonisotropic_form
 
 __all__ = [
     "ConfigError",
@@ -34,7 +27,6 @@ __all__ = [
     "parse_config",
     "canonical_text",
     "build_form",
-    "build_projection",
     "format_value",
 ]
 
@@ -55,7 +47,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     weights: Optional[Tuple[float, ...]] = None
     n: int = 1
-    projection: Optional[Tuple[int, ...]] = None
     t: Tuple[float, ...] = (1.0,)
     N: int = 1000  # not read, as every subcommand samples the exact law; the benchmark sets it
     m: int = 200000
@@ -104,8 +95,7 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> ExperimentConfig:
     `overrides` are the command line's `--set` items, applied after the
     text; a message about one names the item instead of a line.  Raises
     ConfigError carrying one message per problem: unknown keys, malformed
-    values, inconsistent n/weights, and a failed bracket-generation check
-    for the configured projection.
+    values, inconsistent n/weights, and out-of-range values.
     """
     errors = []
     raw: dict = {}
@@ -190,23 +180,13 @@ def _validate(cfg: ExperimentConfig, explicit) -> list:
         except ValueError as exc:
             errors.append(f"bad f selector {sel!r}: {exc}")
     if not errors:
-        form = None
         try:
-            form = build_form(cfg)
+            build_form(cfg)
         except ValueError as exc:
             errors.append(f"cannot build form: {exc}")
         except MemoryError:  # the form holds its n weights
             key = "n" if cfg.weights is None else "weights"
             errors.append(f"cannot build form: {key} is too large to allocate")
-        if form is not None and cfg.projection is not None:
-            try:
-                if not check_hormander(form, Projection(cfg.projection)):
-                    raise ValueError(
-                        "projection fails the bracket-generation check; the restricted "
-                        "form is identically zero"
-                    )
-            except ValueError as exc:
-                errors.append(f"bad projection: {exc}")
     return errors
 
 
@@ -219,12 +199,6 @@ def build_form(cfg: ExperimentConfig) -> SymplecticForm:
     if cfg.weights is None:
         return make_isotropic_form(cfg.n)
     return make_nonisotropic_form(cfg.weights)
-
-
-def build_projection(cfg: ExperimentConfig, form: SymplecticForm) -> Projection:
-    if cfg.projection is None:
-        return full_projection(form.dim)
-    return Projection(cfg.projection)
 
 
 def format_value(value) -> str:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from heislab import ExperimentConfig, __version__, cli, parse_config
+from heislab import ExperimentConfig, __version__, cli, diffusion, parse_config
 from heislab.cli import main, run
 
 FAST = ["--set", "m = 400", "--set", "N = 50"]
@@ -62,7 +62,7 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 13
+        assert report["schema_version"] == 14
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
         assert len(report["config"]) == ECHO
@@ -85,7 +85,7 @@ class TestSimulate:
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 13
+        assert manifest["schema_version"] == 14
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
         # the config echo states the seed; the manifest has no copy of it
         assert "seed" not in manifest and "seed = 42" in manifest["config"]
@@ -171,11 +171,13 @@ class TestExitCodes:
         # delta_t was the central-difference step of heat-check, k_window
         # the fiber window of distance and form the name of the form, which
         # the weights give; there is no scheme key, every subcommand samples
-        # the exact law; --out alone names the output directory
+        # the exact law; --out alone names the output directory; no
+        # subcommand read the projection
         out = tmp_path / "o"
         for sub, item in (("simulate", "bogus = 1"), ("heat-check", "delta_t = 0.05"),
                           ("simulate", "scheme = bogus"), ("distance", "k_window = 2"),
-                          ("simulate", "form = isotropic"), ("simulate", "out = x")):
+                          ("simulate", "form = isotropic"), ("simulate", "out = x"),
+                          ("simulate", "projection = 1, 2")):
             res = runner.invoke(main, [sub, "--set", item, "--out", str(out)])
             assert res.exit_code == 2
             assert "config error" in res.stderr
@@ -339,6 +341,16 @@ class TestExitCodes:
     def test_missing_config_file_exits_two(self, runner):
         res = runner.invoke(main, ["simulate", "--config", "no/such/file.cfg"])
         assert res.exit_code == 2
+
+    def test_config_file_not_utf8_exits_two(self, runner, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_bytes(b"m = 300\n\xff\xfe\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["simulate", "--config", str(cfg_file), "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"config error: {cfg_file}: ")
+        assert "can't decode byte 0xff" in res.stderr
+        assert not out.exists()
 
     def test_aperiodic_quotient_function_exits_two(self, runner):
         res = runner.invoke(main, ["quotient-check", *FAST,
@@ -523,6 +535,29 @@ class TestLsiScan:
         row = dict(zip(lines[ECHO].split(","), lines[ECHO + 1].split(",")))
         for key in ("entropy", "entropy_se", "energy", "energy_se", "ratio", "ratio_se"):
             assert cell[key] is None and row[key] == "", key
+
+
+class TestHeatCheck:
+    def test_residual_is_the_signed_mean_the_verdict_tests(self, tmp_path, monkeypatch):
+        # every estimator's mean, by name: the residual's is that of the
+        # per-sample difference d/dt f - L_H f / 2, whose z gives the verdict
+        means = {}
+        mc = diffusion._Estimator.mc
+
+        def recording_mc(self):
+            est = mc(self)
+            means[self.what] = est.mean
+            return est
+
+        monkeypatch.setattr(diffusion._Estimator, "mc", recording_mc)
+        out = tmp_path / "o"
+        # the heat-check config that tools/pinned_bytes.py pins
+        assert run("heat-check", parse_config("m = 2000\nt = 0.5, 1\n"), out=str(out)) in (0, 1)
+        rows = json.loads(_read(out / "report.json"))["results"]["heat_check"]
+        assert len(rows) == 6 and any(row["residual"] < 0.0 for row in rows)
+        for row in rows:
+            f, t = row["f"], row["t"]
+            assert row["residual"] == means[f"d/dt {f} - L_H {f} / 2 at t = {t:g}"], row
 
 
 class TestQuotientCheck:

@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,7 +14,6 @@ from heislab import (
     ConfigError,
     ExperimentConfig,
     build_form,
-    build_projection,
     canonical_text,
     parse_config,
 )
@@ -33,8 +31,7 @@ class TestDefaults:
         assert cfg.lambdas == (0.5, 1.0, 2.0) and cfg.dims == (1, 2, 3, 4)
         assert cfg.scan_forms == ("isotropic", "ascending_weights")
         assert cfg.target_w == (3.0, 4.0) and cfg.target_c == 0.0
-        assert cfg.weights is None and cfg.projection is None
-        assert cfg.f == ()
+        assert cfg.weights is None and cfg.f == ()
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\n  t = 2.0  # trailing\n   \n")
@@ -71,9 +68,8 @@ class TestParsing:
         assert cfg.target_w == (1.0, 0.0)
 
     def test_empty_value_means_unset(self):
-        cfg = parse_config("f =\nweights =\nprojection =")
-        assert cfg.f == ()
-        assert cfg.weights is None and cfg.projection is None
+        cfg = parse_config("f =\nweights =")
+        assert cfg.f == () and cfg.weights is None
 
     def test_n_inferred_from_weights(self):
         cfg = parse_config("weights = 1, 2, 3")
@@ -142,46 +138,6 @@ class TestErrorCollection:
         assert any(needle in msg for msg in err.value.errors), err.value.errors
 
 
-class TestProjectionValidation:
-    def test_valid_sub_projection(self):
-        cfg = parse_config("n = 2\nprojection = 3, 4")
-        assert cfg.projection == (3, 4)
-        form = build_form(cfg)
-        assert build_projection(cfg, form).indices == (3, 4)
-
-    def test_default_projection_is_full(self):
-        cfg = parse_config("n = 2")
-        form = build_form(cfg)
-        assert build_projection(cfg, form).indices == (1, 2, 3, 4)
-
-    def test_full_projection_at_large_n_costs_linear_memory(self):
-        # all 2n indices listed: a basis row per index would take 2 * (4 * 10**5)**2 floats
-        n = 2 * 10 ** 5
-        doc = f"n = {n}\nprojection = " + ", ".join(map(str, range(1, 2 * n + 1)))
-        tracemalloc.start()
-        try:
-            cfg = parse_config(doc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cfg.projection[-1] == 2 * n
-        assert peak < 256 * 2 ** 20, peak
-
-    @pytest.mark.parametrize(
-        "doc,needle",
-        [
-            ("n = 2\nprojection = 1, 3", "bracket-generation"),
-            ("n = 2\nprojection = 1, 6", "exceeds dimension"),
-            ("n = 2\nprojection = 1, 2, 3", "even"),
-            ("n = 2\nprojection = 2, 1", "ascending"),
-        ],
-    )
-    def test_rejected_projections(self, doc, needle):
-        with pytest.raises(ConfigError) as err:
-            parse_config(doc)
-        assert any(needle in msg for msg in err.value.errors), err.value.errors
-
-
 class TestBuildForm:
     def test_isotropic(self):
         form = build_form(parse_config("n = 3"))
@@ -205,7 +161,7 @@ class TestCanonicalText:
         cfg = parse_config("")
         text = canonical_text(cfg)
         lines = text.strip().split("\n")
-        assert len(lines) == len(fields(ExperimentConfig)) == 16
+        assert len(lines) == len(fields(ExperimentConfig)) == 15
         assert lines[0].startswith("K = ")
         assert lines == sorted(lines, key=lambda ln: ln.split(" = ")[0])
         assert parse_config(text) == cfg
@@ -216,7 +172,7 @@ class TestCanonicalText:
         [
             "weights = 1.5, 2.25\nt = 0.1, 1, 10\nm = 50",
             "f = exp_linear(0.5), cos_theta\nspace = Gtilde\nseed = 7",
-            "n = 4\nprojection = 1, 2, 5, 6",
+            "n = 4",
             "weights = 1, 0.5\nK = 7\ntarget_c = -2.5",
         ],
     )
@@ -243,7 +199,7 @@ _SELECTOR = st.sampled_from(
     ["poly_radial", "vertical_sq", "cos_theta", "exp_linear", "exp_linear(2)",
      "gauss_bump(1.0)", "gauss_bump( 0.25 )"]
 )
-# every key but weights, n and projection, which must agree with each other
+# every key but weights and n, which must agree with each other
 _VALUES = {
     "t": _text_list(_POSITIVE),
     "N": st.integers(1, 10 ** 6).map(str),
@@ -263,8 +219,8 @@ _VALUES = {
 
 @st.composite
 def _documents(draw):
-    """A valid configuration document: weights or n, a projection that fits
-    them, and any subset of the other keys, in any order."""
+    """A valid configuration document: weights or n, and any subset of the
+    other keys, in any order."""
     lines = []
     if draw(st.booleans()):
         weights = draw(st.lists(_WEIGHT, min_size=1, max_size=4))
@@ -275,10 +231,6 @@ def _documents(draw):
     else:
         n = draw(st.integers(1, 4))
         lines.append(f"n = {n}")
-    full = ", ".join(str(i) for i in range(1, 2 * n + 1))
-    projection = draw(st.sampled_from([None, "", "1, 2", full]))
-    if projection is not None:
-        lines.append(f"projection = {projection}")
     for key in draw(st.lists(st.sampled_from(sorted(_VALUES)), unique=True)):
         lines.append(f"{key} = {draw(_VALUES[key])}")
     return "\n".join(draw(st.permutations(lines)))

@@ -211,6 +211,18 @@ class TestHormander:
     def test_full_projection_passes(self, iso2):
         assert check_hormander(iso2, full_projection(4))
 
+    def test_full_projection_at_large_n_costs_linear_memory(self):
+        # all 2n indices: a basis row per index would take 2 * (4 * 10**5)**2 floats
+        n = 2 * 10 ** 5
+        form = make_isotropic_form(n)
+        tracemalloc.start()
+        try:
+            assert check_hormander(form, full_projection(4 * 10 ** 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 ** 20, peak
+
     def test_cross_block_projection_fails(self, iso2):
         # coordinates 1 and 3 sit in different blocks; the restricted form is 0
         assert not check_hormander(iso2, Projection((1, 3)))
