@@ -100,13 +100,13 @@ class CylinderFunction:
 
     def first_derivs(self, wp, v):
         """(dF/dw (..., 2m), dF/dc (...)) at the given points."""
-        return tuple(None if p is None else np.asarray(p, float)
-                     for p in self.first(np.asarray(wp, float), np.asarray(v, float)))
+        return tuple([None if p is None else np.asarray(p, float)
+                      for p in self.first(np.asarray(wp, float), np.asarray(v, float))])
 
     def second_derivs(self, wp, v):
         """(sum_i d2F/dw_i2 (...), d2F/dwc (..., 2m), d2F/dcc (...))."""
-        return tuple(None if p is None else np.asarray(p, float)
-                     for p in self.second(np.asarray(wp, float), np.asarray(v, float)))
+        return tuple([None if p is None else np.asarray(p, float)
+                      for p in self.second(np.asarray(wp, float), np.asarray(v, float))])
 
 
 # -- helpers ---------------------------------------------------------------
@@ -134,12 +134,11 @@ def _vertical_of(f: CylinderFunction, g) -> float:
 
 
 def _check_compat(form: SymplecticForm, f: CylinderFunction, g) -> np.ndarray:
-    ix = f.projection.zero_based
     if g.w.shape[0] != form.dim:
         raise ValueError("element dimension does not match the form")
-    if ix[-1] >= form.dim:  # indices are sorted
+    if f.projection.indices[-1] > form.dim:  # indices are sorted and 1-based
         raise ValueError("function projection exceeds the form dimension")
-    return ix
+    return f.projection.zero_based
 
 
 # -- point operations -------------------------------------------------------
@@ -162,8 +161,11 @@ def horizontal_gradient(form: SymplecticForm, f: CylinderFunction, g) -> np.ndar
     """Vector of length 2n with entries (e_j,0)~ f at g."""
     ix = _check_compat(form, f, g)
     v = _vertical_of(f, g)
-    gw, gv = f.first_derivs(g.w[ix], v)
+    wp = _projected(f, g.w)
+    gw, gv = f.first_derivs(wp, v)
     out = np.zeros(form.dim) if gv is None else 0.5 * gv * form.pair_with_basis(g.w)
+    if wp is g.w:  # a full projection: out[ix] is all of out
+        return _sum(out, gw)
     out[ix] = _sum(out[ix], gw)
     return out
 
@@ -175,11 +177,11 @@ def grad_norm_sq(form: SymplecticForm, f: CylinderFunction, g) -> float:
 
 def sub_laplacian(form: SymplecticForm, f: CylinderFunction, g) -> float:
     """Sum over the 2n basis directions of the squared horizontal fields."""
-    ix = _check_compat(form, f, g)
+    _check_compat(form, f, g)
     v = _vertical_of(f, g)
-    lap, hwc, hcc = f.second_derivs(g.w[ix], v)
+    lap, hwc, hcc = f.second_derivs(_projected(f, g.w), v)
     u = None if hwc is None and hcc is None else form.pair_with_basis(g.w)
-    return float(_sum(lap, None if hwc is None else np.dot(u[ix], hwc),
+    return float(_sum(lap, None if hwc is None else np.dot(_projected(f, u), hwc),
                       None if hcc is None else 0.25 * np.dot(u, u) * hcc))
 
 
@@ -189,9 +191,10 @@ def sub_laplacian(form: SymplecticForm, f: CylinderFunction, g) -> float:
 
 
 def _projected(f: CylinderFunction, x: np.ndarray) -> np.ndarray:
-    """The columns of stacked x that f reads: x itself for a full projection."""
-    ix = f.projection.zero_based
-    return x if ix.size == ix[-1] + 1 == x.shape[1] else x[:, ix]
+    """The coordinates of x, one point or stacked, that f reads: x itself for a
+    full projection, else a gathered copy in F's order."""
+    idx = f.projection.indices  # sorted, distinct and 1-based: 1..k if the last is k
+    return x if len(idx) == idx[-1] == x.shape[-1] else x[..., f.projection.zero_based]
 
 
 def _pairing(form: SymplecticForm, f: CylinderFunction, w: np.ndarray):

@@ -8,10 +8,13 @@ which is step-2 nilpotent: the only surviving bracket is the vertical one.
 The reduced group keeps the vertical coordinate on the circle, stored as the
 canonical representative theta in [0, 2*pi).
 
-Elements are checked once, when they are built.  Results that cannot leave
-the valid set are not checked again: the inverse, the quotient, and the
-bracket's zero horizontal part.  Products and brackets are checked, because
-w1 + w2 and omega(w1, w2) can overflow.
+Elements are checked once, when they are built, by one C-level finiteness
+count per vector.  Results that cannot leave the valid set are not checked
+again: the inverse, the quotient, and the bracket's zero horizontal part.
+A product checks only the two values that can overflow, its new horizontal
+sum w1 + w2 and its vertical coordinate (before the wrap on the reduced
+group), in that order, and is then built without the public constructor;
+a bracket checks omega(A1, A2) the same way.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ def _as_vector(w) -> np.ndarray:
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 1:
         raise ValueError("horizontal part must be a 1-d vector")
-    if not np.isfinite(arr).all():
+    # a count in C, where isfinite(arr).all() adds a Python-level wrapper
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("horizontal part has non-finite entries")
     return arr
 
@@ -92,8 +96,8 @@ def _valid(cls, w: np.ndarray, v: float):
     """`cls`(w, v) without the constructor's checks: w and v are known valid."""
     el = object.__new__(cls)
     hname, vname = cls.__match_args__
-    object.__setattr__(el, hname, w)
-    object.__setattr__(el, vname, v)
+    fields = el.__dict__  # filled directly: frozen guards setattr, which is slower
+    fields[hname], fields[vname] = w, v
     return el
 
 
@@ -152,7 +156,8 @@ def _check_dim(form: "SymplecticForm", *elements) -> None:
 def multiply(form: "SymplecticForm", g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group product (w1+w2, c1+c2+0.5*omega(w1,w2))."""
     _check_dim(form, g1, g2)
-    return GroupElement(g1.w + g2.w, g1.c + g2.c + 0.5 * form.pair(g1.w, g2.w))
+    w, c = g1.w + g2.w, g1.c + g2.c + 0.5 * form.pair(g1.w, g2.w)
+    return _valid(GroupElement, _as_vector(w), _as_finite(c, "vertical coordinate"))
 
 
 def inverse(form: "SymplecticForm", g: GroupElement) -> GroupElement:
@@ -166,8 +171,8 @@ def multiply_reduced(
 ) -> ReducedElement:
     """Reduced product: same law with the vertical part wrapped into [0, 2*pi)."""
     _check_dim(form, r1, r2)
-    theta = wrap_angle(r1.theta + r2.theta + 0.5 * form.pair(r1.w, r2.w))
-    return ReducedElement(r1.w + r2.w, theta)
+    w, theta = r1.w + r2.w, r1.theta + r2.theta + 0.5 * form.pair(r1.w, r2.w)
+    return _valid(ReducedElement, _as_vector(w), wrap_angle(_as_finite(theta, "theta")))
 
 
 def quotient(g: GroupElement) -> ReducedElement:

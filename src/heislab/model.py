@@ -19,6 +19,9 @@ from .group import GroupElement, ReducedElement, _valid
 
 # Relative floor for the smallest weight.
 NONDEGENERACY_RTOL = 1e-12
+# +0.0 as a 0-d array, which an in-place add takes without converting a Python float
+_PLUS_ZERO = np.zeros(())
+_PLUS_ZERO.setflags(write=False)
 
 __all__ = [
     "SymplecticForm",
@@ -119,7 +122,7 @@ class SymplecticForm:
             raise ValueError(f"w of shape {w.shape} does not act on {self.dim} coordinates")
         z = (w if w.strides[-1] == w.itemsize else w.copy()).view(complex)  # a contiguous last axis
         u = (z * self._turn).view(float)
-        u += 0.0  # x * 0 - y * a may be -0, where the dense product's sums give +0
+        u += _PLUS_ZERO  # x * 0 - y * a may be -0, where the dense product's sums give +0
         return u
 
     def frobenius_sq(self) -> float:

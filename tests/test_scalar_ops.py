@@ -1,9 +1,11 @@
 """Scalar group and calculus operations: bits, valid results, and the checks.
 
 Every operation on single elements must equal its defining numpy
-expression bit for bit and return an element that its public constructor
-accepts unchanged; products and brackets that overflow must still raise.
-The input checks are tested beside each operation's other tests.
+expression bit for bit, on block forms and on framed ones, and return an
+element that its public constructor accepts unchanged; products and brackets
+that overflow must still raise, and finite elements whose squares overflow
+must still be accepted.  The input checks are tested beside each operation's
+other tests.
 """
 
 from dataclasses import fields, replace
@@ -23,6 +25,7 @@ from heislab import (
     SymplecticForm,
     bracket,
     horizontal_gradient,
+    identity,
     inverse,
     make_isotropic_form,
     make_registry_function,
@@ -36,18 +39,24 @@ from heislab import (
 
 from helpers import exact_skew
 
-_COORD = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+# signed zeros often: x * 0 - y * a is -0 for x < 0 = y, where the dense product has +0
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e3, max_value=1e3))
 _VERTICAL = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 _THETA = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
 
 
 @st.composite
 def _cases(draw):
-    """A random exact-skew form on R^dim, dim in 2..16, two points on it,
-    a projection and a registry function read through that projection."""
+    """A random form on R^dim, dim in 2..16, two points on it, a projection
+    and a registry function read through that projection.  The form is a block
+    form with random positive weights (frame None, as the model's makers and
+    the config build it) or the normal form of a random exact-skew matrix."""
     dim = 2 * draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    form = SymplecticForm.from_matrix(exact_skew(rng.standard_normal((dim, dim))))
+    if draw(st.booleans()):
+        form = SymplecticForm(np.exp(rng.uniform(-3.0, 3.0, size=dim // 2)))
+    else:
+        form = SymplecticForm.from_matrix(exact_skew(rng.standard_normal((dim, dim))))
     size = 2 * draw(st.integers(1, dim // 2))
     proj = Projection(tuple(sorted(int(i) + 1 for i in rng.choice(dim, size, replace=False))))
     f = replace(make_registry_function(draw(st.sampled_from(REGISTRY_DEFAULT_SELECTION)), dim),
@@ -130,6 +139,26 @@ class TestBitsAndValidity:
             sublap = sub_laplacian(form, f, g)
             assert type(sublap) is float
             assert _bits(sublap) == _bits(sum(present[1:], present[0]))
+
+
+class TestLargeFiniteElements:
+    """A finite entry is valid however large: the check must not square it."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [[1e200, 1e200], [1.7e308, 0.0], [-1.7e308, 1.7e308]])
+    def test_accepted_without_warning(self, w):
+        form = make_isotropic_form(1)
+        g = GroupElement(w, 1.0)
+        _assert_element(g, np.array(w), 1.0)
+        _assert_element(ReducedElement(w, 1.0), np.array(w), 1.0)
+        _assert_element(LieVector(w, 1.0), np.array(w), 1.0)
+        _assert_element(multiply(form, g, identity(2)), np.array(w), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        for cls in (GroupElement, ReducedElement, LieVector):
+            with pytest.raises(ValueError, match="horizontal part has non-finite entries"):
+                cls([1e200, bad], 1.0)
 
 
 class TestOverflowStillRaises:
