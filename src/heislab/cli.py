@@ -20,7 +20,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import click
@@ -52,7 +52,7 @@ from .group import GroupElement, ReducedElement, wrap_angle
 from .lsi import lsi_scan, quotient_invariance_report
 from .model import SymplecticForm
 
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 
 HEAT_DEFAULT_FS = ("poly_radial", "vertical_sq", "gauss_bump(1.0)")
 QUOTIENT_DEFAULT_FS = ("cos_theta",)
@@ -210,7 +210,7 @@ def _run_lsi_scan(cfg: ExperimentConfig, workers: int, dump_endpoints: bool) -> 
     cells = lsi_scan(cfg.scan_forms, cfg.dims, cfg.t, sels, cfg.m,
                      base_seed=cfg.seed, c_ref=cfg.c_ref, space=cfg.space, workers=workers)
     rows = [rep.row() for rep in cells]
-    json_rows = [asdict(rep) for rep in cells]
+    json_rows = [dict(vars(rep)) for rep in cells]
     summaries = {}
     extra = {}
     for idx, t in enumerate(cfg.t):

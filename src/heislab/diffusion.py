@@ -15,13 +15,14 @@ G ~ Gamma(N), so the terms k <= _LEVY_TERMS enter through one normal of
 variance 2 s^2 V, V = sum_k G_k / k^2; the terms k > _LEVY_TERMS through a
 Gaussian of the same variance, the only approximation.  V is drawn as one
 compound-Poisson sum per plane (`_jump_variance`): Poisson(K |W_j|^2) jumps,
-each with a uniform label k and an Exp(1) size, adding size / k^2.  By
-Poisson thinning the label-k jumps are Poisson(|W_j|^2) many, and N Exp(1)
-sizes sum to Gamma(N), so that is the law above.  The cost does not depend
-on N.  Chunk j of _EXACT_CHUNK samples draws from the Philox stream keyed
-(base_seed, j), in the order W, the logistic bridge areas, the jump counts,
-labels and sizes, and the final normals, and every chunk is drawn whole, so
-the bits depend on neither the worker count nor m beyond its prefix.
+each with a uniform label k, one raw Philox byte, and an Exp(1) size, adding
+size / k^2 to its plane's segment.  By Poisson thinning the label-k jumps
+are Poisson(|W_j|^2) many, and N Exp(1) sizes sum to Gamma(N), so that is
+the law above.  The cost does not depend on N.  Chunk j of _EXACT_CHUNK
+samples draws from the Philox stream keyed (base_seed, j), in the order W,
+the logistic bridge areas, the jump counts, labels and sizes, and the final
+normals, and every chunk is drawn whole, so the bits depend on neither the
+worker count nor m beyond its prefix.
 
 The walk (`steps=N`) takes N Gaussian increments dB_k ~ Normal(0, (t/N)
 I_{2n}); the endpoint carries the horizontal sum and the discrete area
@@ -234,18 +235,23 @@ def _fill_chunk(forms, steps, base_seed, lo, hi, w_hat, c_hats):
 def _jump_variance(g: np.random.Generator, r: np.ndarray) -> np.ndarray:
     """Each plane's jump variance V given r = |W_j|^2, shaped like r: one
     compound-Poisson sum of size / k^2 over Poisson(K r) jumps, plus the
-    mean r * _TAIL_SQ of the terms k > K."""
-    counts = g.poisson(_LEVY_TERMS * r)
+    mean r * _TAIL_SQ of the terms k > K.
+
+    The labels are `g.integers(1, K + 1, total, dtype=np.uint8)`'s, whose
+    Lemire draw never rejects for a range of 16: label - 1 is the high half
+    of each raw byte, little-endian, and the stream moves on by the same
+    words.  Jumps come plane by plane, so each plane sums one segment."""
+    counts = g.poisson(_LEVY_TERMS * r).ravel()
     total = int(counts.sum())
-    labels = g.integers(1, _LEVY_TERMS + 1, total, dtype=np.uint8)
-    sizes = g.standard_exponential(total)
-    k = labels.astype(float)
-    sizes /= np.square(k, out=k)
-    # jumps come plane by plane, so each sum runs in draw order
-    planes = np.repeat(np.arange(r.size), counts.ravel())
-    var = np.bincount(planes, weights=sizes, minlength=r.size).reshape(r.shape)
-    var += _TAIL_SQ * r
-    return var
+    raw = g.bit_generator.random_raw(-(-total // 8)).astype("<u8", copy=False)
+    k = (raw.view(np.uint8)[:total] >> 4).astype(float) + 1.0
+    # a trailing 0 lets the planes without jumps at the end start in bounds
+    sizes = np.zeros(total + 1)
+    g.standard_exponential(out=sizes[:total])
+    sizes[:total] /= np.square(k, out=k)
+    var = np.add.reduceat(sizes, np.cumsum(counts) - counts)
+    var[counts == 0] = 0.0  # reduceat gives an empty segment its next element
+    return var.reshape(r.shape) + _TAIL_SQ * r
 
 
 def _fill_exact(forms, frames, base_seed, chunks, m, c_hats):
@@ -370,13 +376,18 @@ class _Estimator:
         m = columns[0].shape[0]
         self.what, self.columns, self.m = what, columns, m
         with np.errstate(over="ignore", invalid="ignore"):  # the squares overflow first
-            self.means = [float(np.mean(col)) for col in columns]
             if len(columns) == 1:
+                self.means = [float(np.mean(columns[0]))]
                 _require_finite(columns[0], what)
                 self.std_errors = [float(np.std(columns[0], ddof=1) / math.sqrt(m))]
                 checked, name = self.means + self.std_errors, "mean and standard error"
             else:
-                self.cov = np.cov(np.stack(columns), ddof=1)
+                # np.cov's own steps, whose row means are each column's np.mean
+                x = np.stack(columns)
+                means = x.mean(axis=1)
+                self.means = means.tolist()
+                x -= means[:, None]
+                self.cov = np.dot(x, x.T.conj()) * np.true_divide(1, m - 1)
                 self.std_errors = [math.sqrt(max(float(v), 0.0) / m) for v in np.diag(self.cov)]
                 checked, name = np.append(self.cov, self.means), "moments"
         _require_finite(np.asarray(checked), f"the {name} of {what}")

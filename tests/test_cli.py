@@ -62,7 +62,7 @@ class TestSimulate:
         assert "simulate: ok (4 rows)" in res.output
 
         report = json.loads(_read(out / "report.json"))
-        assert report["schema_version"] == 14
+        assert report["schema_version"] == 15
         assert report["subcommand"] == "simulate"
         assert report["overall_pass"] is True
         assert len(report["config"]) == ECHO
@@ -85,7 +85,7 @@ class TestSimulate:
         assert len(csv_lines) == header_idx + 1 + 4
 
         manifest = json.loads(_read(out / "manifest.json"))
-        assert manifest["schema_version"] == 14
+        assert manifest["schema_version"] == 15
         assert set(manifest["versions"]) == {"python", "numpy", "scipy", "click", "package"}
         # the config echo states the seed; the manifest has no copy of it
         assert "seed" not in manifest and "seed = 42" in manifest["config"]

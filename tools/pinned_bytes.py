@@ -1,20 +1,27 @@
 """Print the sha256 of every artifact the pinned configs write.
 
-Usage: python3 tools/pinned_bytes.py [--keep DIR]
+Usage: python3 tools/pinned_bytes.py [--keep DIR] [--against OLD]
 
 Each pinned config runs through `heislab.cli.run` in a temporary directory,
 one output directory per config; `--keep DIR` writes them under DIR instead
-and leaves them there, so two trees' artifacts can be compared with
-`diff -r`.  The script prints one sorted
+and leaves them there.  The script prints one sorted
 `sha256  config/file` line per artifact except `manifest.json`, which holds
 wall-clock times.  Two trees write the same bytes when their outputs are
 identical, so a change meant to keep the bytes is checked by running the
 script on both and comparing.
+
+A change that moves bytes on purpose (a `schema_version` bump) is checked
+with `--against OLD`, a directory another tree's `--keep` wrote: after the
+digests, the script compares every `report.json` with OLD's and prints how
+many numbers it compared, every boolean, null or string that changed (the
+verdicts and statuses), with its path, and the largest relative change of a
+number.
 """
 
 import argparse
 import contextlib
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -79,9 +86,58 @@ PINNED = {
 }
 
 
+def _brief(value) -> str:
+    text = json.dumps(value, sort_keys=True)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _walk(new, old, path, found):
+    """Compares two parsed JSON values into `found`: [numbers compared,
+    changed non-numbers, largest relative change of a number]."""
+    if type(new) in (int, float) and type(old) in (int, float):
+        found[0] += 1
+        if new != old:
+            found[2] = max(found[2], abs(new - old) / max(abs(new), abs(old)))
+    elif isinstance(new, dict) and isinstance(old, dict) and new.keys() == old.keys():
+        for key in sorted(new):
+            _walk(new[key], old[key], f"{path}.{key}", found)
+    elif isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
+        for i, (a, b) in enumerate(zip(new, old)):
+            _walk(a, b, f"{path}[{i}]", found)
+    elif new != old or type(new) is not type(old):
+        found[1].append(f"{path}: {_brief(old)} -> {_brief(new)}")
+
+
+def _load(root: str, name: str):
+    path = os.path.join(root, name, "report.json")
+    if not os.path.isfile(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def compare_reports(new_root: str, old_root: str):
+    """Each config's report.json under new_root against old_root's, as
+    (numbers compared, changed non-numbers, largest relative change of a
+    number, the `schema_version` moves); the version, which a bump moves
+    on purpose, is not counted among the numbers."""
+    found, versions = [0, [], 0.0], set()
+    names = {d for root in (new_root, old_root) for d in os.listdir(root)
+             if os.path.isfile(os.path.join(root, d, "report.json"))}
+    for name in sorted(names):
+        new, old = _load(new_root, name), _load(old_root, name)
+        if isinstance(new, dict) and isinstance(old, dict):
+            new, old = dict(new), dict(old)
+            versions.add(f"{old.pop('schema_version', None)} -> {new.pop('schema_version', None)}")
+        _walk(new, old, f"{name}/report.json $", found)
+    return found[0], found[1], found[2], versions
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--keep", metavar="DIR", help="write the artifacts under DIR and keep them")
+    ap.add_argument("--against", metavar="OLD",
+                    help="compare each report.json with OLD's, a directory --keep wrote")
     args = ap.parse_args()
     lines = []
     with contextlib.ExitStack() as stack:
@@ -98,7 +154,14 @@ def main() -> int:
                     with open(os.path.join(out, file), "rb") as fh:
                         digest = hashlib.sha256(fh.read()).hexdigest()
                     lines.append(f"{digest}  {name}/{file}")
-    print("\n".join(sorted(lines)))
+        print("\n".join(sorted(lines)))
+        if args.against:
+            count, changes, largest, versions = compare_reports(root, args.against)
+            print(f"against {args.against}: schema_version {', '.join(sorted(versions))}; "
+                  f"{count} numbers compared, {len(changes)} other values changed, "
+                  f"largest relative change {largest:.3g}")
+            for line in changes:
+                print(f"  changed {line}")
     return 0
 
 
